@@ -49,7 +49,10 @@ among a shard's holders only.
 3. *Reconnect:* a self-spawned local worker is respawned (budgeted by
    ``max_respawns``, like the pool); an externally-launched worker gets
    ``reconnect_grace`` seconds to dial back in — a re-registration under
-   the same name reclaims the previous shard set.
+   the same name reclaims the previous shard set.  As in the pool, the
+   drop is counted as a crash (``total_crashes``) when it is detected,
+   and as a respawn (``total_respawns``) only when the dropped name has
+   re-registered and is serving again.
 4. *Re-place:* if the worker stays gone (or its respawn budget is
    exhausted), every shard it held is re-placed onto surviving workers
    via the ``("zone", payloads, γ, ack)`` message — frames are FIFO per
@@ -343,7 +346,10 @@ class ClusterCoordinator:
     context:
         ``multiprocessing`` start method for self-spawned workers.
     max_respawns:
-        Respawn budget per self-spawned worker name.
+        Crash budget per self-spawned worker name: a name whose crash
+        count (``total_crashes``, not ``total_respawns``) is still at or
+        under this value is respawned after a drop; past it, its shards
+        are re-placed on the survivors instead.
     ready_timeout:
         Bound on ``start()``, block-dispatch wait, drains and handshakes.
     heartbeat_interval / heartbeat_timeout:
@@ -439,7 +445,9 @@ class ClusterCoordinator:
         }
         self._last_shards: Dict[str, Set[int]] = {}
         self._stats_of: Dict[str, ShardServingStats] = {}
-        self._respawns: Dict[str, int] = {}
+        self._crashes: Dict[str, int] = {}  # drops detected
+        self._respawns: Dict[str, int] = {}  # dropped names re-registered
+        self._dropped: Set[str] = set()  # names awaiting re-registration
         self._requeued: Dict[str, int] = {}
         self._pids: Dict[str, int] = {}
         self._spawned_procs: Dict[str, "mp.process.BaseProcess"] = {}
@@ -741,7 +749,13 @@ class ClusterCoordinator:
             worker.last_seen = asyncio.get_running_loop().time()
             self._workers_by_name[name] = worker
             self._pids[name] = pid
+            self._crashes.setdefault(name, 0)
             self._respawns.setdefault(name, 0)
+            if name in self._dropped:
+                # Counted in the same loop step that publishes the
+                # worker: a reader that sees the respawn sees it live.
+                self._dropped.discard(name)
+                self._respawns[name] += 1
             self._requeued.setdefault(name, 0)
             self._stats_of.setdefault(
                 name, ShardServingStats(shard_id=worker.order)
@@ -824,6 +838,8 @@ class ClusterCoordinator:
         worker.dead = True
         if self._workers_by_name.get(worker.name) is worker:
             del self._workers_by_name[worker.name]
+        self._crashes[worker.name] = self._crashes.get(worker.name, 0) + 1
+        self._dropped.add(worker.name)
         pending = list(worker.inflight.values())
         worker.inflight.clear()
         for ack in worker.acks.values():
@@ -849,11 +865,10 @@ class ClusterCoordinator:
                     entry.future.set_exception(error)
             return
         if self._spawn_local:
-            self._respawns[worker.name] = self._respawns.get(worker.name, 0) + 1
             stale_proc = self._spawned_procs.get(worker.name)
             if stale_proc is not None and stale_proc.is_alive():
                 stale_proc.kill()
-            if self._respawns[worker.name] <= self.max_respawns:
+            if self._crashes[worker.name] <= self.max_respawns:
                 self._spawn_process(worker.name)  # reconnect via respawn
             else:
                 await self._replace_shards(worker.shard_ids)
@@ -968,10 +983,10 @@ class ClusterCoordinator:
             if (
                 self._spawn_local
                 and not self._workers_by_name
-                and self._respawns
+                and self._crashes
                 and all(
                     count > self.max_respawns
-                    for count in self._respawns.values()
+                    for count in self._crashes.values()
                 )
             ):
                 raise WorkerCrashError(
@@ -1267,7 +1282,9 @@ class ClusterCoordinator:
     def stats(self) -> List[Dict[str, float]]:
         """Per-worker serving rows mirroring the pool's ``stats()``:
         the :class:`ShardServingStats` counters keyed by worker name,
-        plus reconnect/requeue accounting and the TCP transport tag."""
+        plus reconnect/requeue accounting (``crashes`` counts detected
+        drops, ``respawns`` re-registrations after one) and the TCP
+        transport tag."""
         rows = []
         for name in sorted(self._stats_of):
             stats = self._stats_of[name]
@@ -1275,6 +1292,7 @@ class ClusterCoordinator:
             row.pop("shard")
             row["worker"] = name
             row["pid"] = self._pids.get(name, -1)
+            row["crashes"] = self._crashes.get(name, 0)
             row["respawns"] = self._respawns.get(name, 0)
             row["requeued_blocks"] = self._requeued.get(name, 0)
             worker = self._workers_by_name.get(name)
@@ -1290,8 +1308,25 @@ class ClusterCoordinator:
         return self._swaps
 
     @property
+    def total_crashes(self) -> int:
+        """How many worker connection drops have been detected (SIGKILL,
+        EOF, heartbeat silence, aborted connection).
+
+        Rises as soon as a drop is handled, before any replacement has
+        dialled in; for self-spawned workers this is the count
+        ``max_respawns`` budgets."""
+        return sum(self._crashes.values())
+
+    @property
     def total_respawns(self) -> int:
-        """How many worker connections have been replaced after a drop."""
+        """How many dropped worker names have re-registered and are
+        serving again (a respawned local process or a reconnected
+        external worker).
+
+        Counted in the loop step that publishes the returning worker,
+        so once this rises it is in ``worker_pids()``.  Lags
+        ``total_crashes`` while a replacement is on its way, and stays
+        behind it for names whose shards were re-placed instead."""
         return sum(self._respawns.values())
 
     @property

@@ -57,10 +57,15 @@ design is strictly shared-nothing:
   crash detector: on pipe EOF / worker death, every unanswered block is
   requeued onto an automatically respawned replacement (rebuilt from the
   parent's retained payloads, current γ re-applied before replay), so
-  callers see a latency blip instead of an error.  Ring slots held by a
+  callers see a latency blip instead of an error.  The two counters move
+  at different instants: a slot's crash count (``total_crashes``) rises
+  the moment the death is detected and the slot is emptied, its respawn
+  count (``total_respawns``) only once the replacement has finished its
+  warm-up handshake and is published back into the slot — in between,
+  balance dispatch serves from the survivors.  Ring slots held by a
   SIGKILL'd worker are reclaimed by the same drain — the parent owns the
   free queue, so a dead worker can never strand a slot — and the
-  replacement re-attaches to the same segments by name.  A worker that
+  replacement re-attaches to the same segments by name.  A slot that
   crashes more than ``max_respawns`` times fails its pending futures
   with :class:`WorkerCrashError` instead of looping forever; its
   segments are unlinked on the spot, and ``stop()`` unlinks the rest, so
@@ -308,7 +313,10 @@ class ProcessShardPool:
         ``"forkserver"``); default is ``"fork"`` where available, else
         ``"spawn"``.
     max_respawns:
-        Crash budget per worker slot before pending futures fail with
+        Crash budget per worker slot: the slot's crash count
+        (``total_crashes``, not ``total_respawns``) may reach this value
+        and still be respawned; one crash more retires the slot.  A
+        block that no live slot can serve then fails with
         :class:`WorkerCrashError`.
     ready_timeout:
         Seconds to wait for a worker's warm-up handshake.
@@ -407,7 +415,8 @@ class ProcessShardPool:
         self._workers: List[Optional[_WorkerHandle]] = [None] * self.num_workers
         self._rings: List[Optional[shmring.RingPair]] = [None] * self.num_workers
         self._stats = [ShardServingStats(shard_id=i) for i in range(self.num_workers)]
-        self._crashes = [0] * self.num_workers
+        self._crashes = [0] * self.num_workers  # deaths detected
+        self._respawns = [0] * self.num_workers  # replacements published
         self._requeued = [0] * self.num_workers
         self._ring_blocks = [0] * self.num_workers
         self._pipe_blocks = [0] * self.num_workers
@@ -956,6 +965,7 @@ class ProcessShardPool:
         with self._lock:
             if replacement is not None:
                 self._workers[slot] = replacement
+                self._respawns[slot] += 1
             self._requeued[slot] += len(pending)
             stop_now = self._stopping
         if stop_now and replacement is not None:
@@ -1236,7 +1246,9 @@ class ProcessShardPool:
     def stats(self) -> List[Dict[str, float]]:
         """Per-worker serving rows: the familiar
         :class:`ShardServingStats` counters keyed by worker slot, plus
-        crash/respawn/requeue accounting."""
+        crash/respawn/requeue accounting: ``crashes`` counts detected
+        deaths, ``respawns`` published replacements (see
+        :attr:`total_crashes` / :attr:`total_respawns`)."""
         rows = []
         with self._lock:
             for index, stats in enumerate(self._stats):
@@ -1246,7 +1258,8 @@ class ProcessShardPool:
                 row["pid"] = (
                     worker.process.pid if worker is not None else -1
                 )
-                row["respawns"] = self._crashes[index]
+                row["crashes"] = self._crashes[index]
+                row["respawns"] = self._respawns[index]
                 row["requeued_blocks"] = self._requeued[index]
                 row["epoch"] = worker.epoch if worker is not None else -1
                 row["transport"] = self._transport
@@ -1262,9 +1275,23 @@ class ProcessShardPool:
             return self._swaps
 
     @property
-    def total_respawns(self) -> int:
-        """How many times any worker slot has been respawned."""
+    def total_crashes(self) -> int:
+        """How many worker deaths have been detected, over all slots.
+
+        Rises as soon as a death is handled, before any replacement
+        exists; this is the count ``max_respawns`` budgets."""
         return sum(self._crashes)
+
+    @property
+    def total_respawns(self) -> int:
+        """How many replacement workers have been published into their
+        slots after a crash.
+
+        Counted in the same locked step that installs the replacement,
+        so once this rises the new worker is in ``worker_pids()`` and
+        takes dispatches.  Lags ``total_crashes`` while a respawn is in
+        progress, and stays behind it for slots that were retired."""
+        return sum(self._respawns)
 
     @property
     def total_requeued(self) -> int:

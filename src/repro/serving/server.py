@@ -835,8 +835,8 @@ class StreamServer:
     def worker_stats(self) -> List[Dict[str, float]]:
         """Per-worker rows (``executor="process"`` / ``"cluster"``): the
         :class:`ShardServingStats` counters aggregated per worker, plus
-        pid / respawn / requeued-block accounting.  Empty for in-process
-        executors."""
+        pid / crash / respawn / requeued-block accounting.  Empty for
+        in-process executors."""
         if self._pool is None:
             return []
         return self._pool.stats()

@@ -309,7 +309,16 @@ class TestFaults:
                 producer.join(timeout=120)
             assert not failures, failures[0]
             # The kills landed on live workers, so the respawn/requeue
-            # machinery demonstrably ran.
+            # machinery demonstrably ran; a respawn counts once the
+            # replacement has re-registered.
+            assert cluster.total_crashes >= 1
+            deadline = time.monotonic() + 30
+            while (
+                cluster.total_respawns < 1
+                or len(cluster.worker_pids()) < 2
+            ):
+                assert time.monotonic() < deadline, "respawn timed out"
+                time.sleep(0.01)
             assert cluster.total_respawns >= 1
             np.testing.assert_array_equal(cluster.check(patterns, classes), want)
 
@@ -322,6 +331,12 @@ class TestFaults:
                                 ready_timeout=60) as cluster:
             name = cluster.worker_names()[0]
             assert cluster.drop_connection(name)
+            np.testing.assert_array_equal(cluster.check(patterns, classes), want)
+            assert cluster.total_crashes >= 1
+            deadline = time.monotonic() + 30
+            while name not in cluster.worker_names():
+                assert time.monotonic() < deadline, "worker never came back"
+                time.sleep(0.01)
             np.testing.assert_array_equal(cluster.check(patterns, classes), want)
             assert cluster.total_respawns >= 1
 
@@ -358,10 +373,47 @@ class TestFaults:
                 time.sleep(0.05)
             np.testing.assert_array_equal(cluster.check(patterns, classes), want)
             assert cluster.total_requeued == 0  # drop landed between blocks
+            assert cluster.total_crashes == 1
+            assert cluster.total_respawns == 1  # the reconnect replaced it
         finally:
             cluster.stop()
             worker.join(timeout=30)
             assert not worker.is_alive()
+
+    def test_respawn_counted_only_once_the_name_reregisters(self):
+        """A dropped self-spawned worker is a crash at once but a
+        respawn only after its replacement has registered.  Deferring
+        the replacement's launch holds that window open for as long as
+        the test needs it, independent of scheduling."""
+        router = ShardRouter.partition(_build_monitor(), 3)
+        oracle = ShardRouter.partition(_build_monitor(), 3)
+        patterns, classes = _queries(n=120)
+        want = oracle.check(patterns, classes)
+        with ClusterCoordinator(router.shards, workers=2,
+                                ready_timeout=60) as cluster:
+            spawn = cluster._spawn_process
+            deferred = []
+            cluster._spawn_process = deferred.append
+            name = cluster.worker_names()[0]
+            assert cluster.drop_connection(name)
+            assert deferred == [name]
+            assert cluster.total_crashes == 1
+            assert cluster.total_respawns == 0
+            assert len(cluster.worker_pids()) == 1
+            np.testing.assert_array_equal(cluster.check(patterns, classes), want)
+            row = {r["worker"]: r for r in cluster.stats()}[name]
+            assert (row["crashes"], row["respawns"]) == (1, 0)
+
+            cluster._spawn_process = spawn
+            cluster._loop.call_soon_threadsafe(spawn, name)
+            deadline = time.monotonic() + 30
+            while name not in cluster.worker_names():
+                assert time.monotonic() < deadline, "worker never came back"
+                time.sleep(0.01)
+            np.testing.assert_array_equal(cluster.check(patterns, classes), want)
+            assert cluster.total_crashes == 1
+            assert cluster.total_respawns == 1
+            assert len(cluster.worker_pids()) == 2
 
     def test_shards_replaced_on_survivors_when_budget_exhausted(self):
         router = ShardRouter.partition(_build_monitor(), 3)

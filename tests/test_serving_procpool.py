@@ -16,6 +16,7 @@ partition → pickle → rehydrate → assemble round trip.
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -259,6 +260,12 @@ class TestFaultInjection:
                 got[rows] = verdicts
             np.testing.assert_array_equal(got, expected)
             assert all(future.done() for future in futures)
+            # Balance dispatch may have answered every block on the
+            # survivor: wait for the replacement to be published.
+            deadline = time.monotonic() + 30
+            while pool.total_respawns < 1 or len(pool.worker_pids()) < 2:
+                assert time.monotonic() < deadline, "respawn timed out"
+                time.sleep(0.01)
             assert pool.total_respawns >= 1
             # Correct final stats: every submitted block answered exactly
             # once (requeued blocks counted on the replacement, never on
@@ -300,7 +307,7 @@ class TestFaultInjection:
             dead_slot = 0
             os.kill(pool.worker_pids()[dead_slot], signal.SIGKILL)
             deadline = time.monotonic() + 30
-            while pool.total_respawns == 0 and time.monotonic() < deadline:
+            while pool.total_crashes == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
             shard_id = next(
                 sid for sid, slot in pool._worker_of.items() if slot == dead_slot
@@ -327,16 +334,16 @@ class TestFaultInjection:
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             deadline = time.monotonic() + 30
-            while pool.total_respawns == 0 and time.monotonic() < deadline:
+            while pool.total_crashes == 0 and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert pool.total_respawns >= 1
+            assert pool.total_crashes >= 1
             np.testing.assert_array_equal(
                 pool.check(patterns, classes), monitor.check(patterns, classes)
             )
             assert len(pool.worker_pids()) == 1  # burned slot stays empty
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             deadline = time.monotonic() + 30
-            while pool.total_respawns < 2 and time.monotonic() < deadline:
+            while pool.total_crashes < 2 and time.monotonic() < deadline:
                 time.sleep(0.02)
             with pytest.raises(WorkerCrashError):
                 pool.check(patterns, classes)
@@ -375,7 +382,7 @@ class TestFaultInjection:
             np.testing.assert_array_equal(
                 pool.check(patterns, classes), monitor.check(patterns, classes)
             )
-            assert pool.total_respawns == 0  # worker survived the bad block
+            assert pool.total_crashes == 0  # worker survived the bad block
 
     def test_crash_respawn_reapplies_current_gamma(self):
         monitor = _build_monitor(gamma=1)
@@ -385,10 +392,59 @@ class TestFaultInjection:
             pool.set_gamma(3)
             monitor.set_gamma(3)
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            # Wait for the replacement, so the check below can reach it.
+            deadline = time.monotonic() + 30
+            while pool.total_respawns < 1 or len(pool.worker_pids()) < 2:
+                assert time.monotonic() < deadline, "respawn timed out"
+                time.sleep(0.01)
             np.testing.assert_array_equal(
                 pool.check(patterns, classes), monitor.check(patterns, classes)
             )
             assert pool.total_respawns >= 1
+
+    def test_respawn_counted_only_once_replacement_is_published(self):
+        """While a replacement is still being spawned, the death is
+        already a crash but not yet a respawn, and the survivor serves.
+        The gate on ``_spawn`` holds that window open for as long as the
+        test needs it, independent of scheduling."""
+        monitor = _build_monitor()
+        router = ShardRouter.partition(monitor, 2)
+        patterns, classes = _queries(n=50, extra_classes=0)
+        entered = threading.Event()
+        release = threading.Event()
+        with ProcessShardPool(router.shards, num_workers=2) as pool:
+            spawn = pool._spawn
+
+            def gated_spawn(index):
+                entered.set()
+                release.wait(timeout=60)
+                return spawn(index)
+
+            pool._spawn = gated_spawn
+            try:
+                victim = pool.worker_pids()[0]
+                os.kill(victim, signal.SIGKILL)
+                assert entered.wait(timeout=30), "crash never detected"
+                assert pool.total_crashes == 1
+                assert pool.total_respawns == 0
+                assert len(pool.worker_pids()) == 1
+                np.testing.assert_array_equal(
+                    pool.check(patterns, classes),
+                    monitor.check(patterns, classes),
+                )
+                rows = pool.stats()
+                assert sum(row["crashes"] for row in rows) == 1
+                assert sum(row["respawns"] for row in rows) == 0
+            finally:
+                release.set()
+            deadline = time.monotonic() + 30
+            while pool.total_respawns < 1 or len(pool.worker_pids()) < 2:
+                assert time.monotonic() < deadline, "respawn timed out"
+                time.sleep(0.01)
+            assert pool.total_crashes == 1
+            assert pool.total_respawns == 1
+            assert victim not in pool.worker_pids()
+            assert len(pool.worker_pids()) == 2
 
 
 class TestPoolValidation:

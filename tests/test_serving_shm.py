@@ -257,7 +257,10 @@ class TestShmFaults:
                 )
                 os.kill(pool.worker_pids()[round_no % 2], signal.SIGKILL)
                 deadline = time.monotonic() + 30
-                while len(pool.worker_pids()) < 2:
+                while (
+                    pool.total_respawns < round_no + 1
+                    or len(pool.worker_pids()) < 2
+                ):
                     assert time.monotonic() < deadline, "respawn timed out"
                     time.sleep(0.01)
             np.testing.assert_array_equal(

@@ -17,9 +17,8 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.nn.data import Dataset, stack_dataset
-from repro.nn.hooks import ActivationTap
+from repro.nn.inference import compile_inference
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
 
 
 class BoxZone:
@@ -146,10 +145,5 @@ class BoxMonitor:
 def _extract_activations(model, monitored_module, inputs, batch_size):
     """Real-valued analogue of extract_patterns (no binarisation)."""
     model.eval()
-    logits_chunks = []
-    with ActivationTap(monitored_module) as tap:
-        for start in range(0, len(inputs), batch_size):
-            logits_chunks.append(model(Tensor(inputs[start : start + batch_size])).data)
-    activations = tap.concatenated()
-    activations = activations.reshape(activations.shape[0], -1)
-    return activations, np.concatenate(logits_chunks, axis=0)
+    activations, logits = compile_inference(model, monitored_module)(inputs, batch_size)
+    return activations.reshape(activations.shape[0], -1), logits

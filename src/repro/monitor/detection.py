@@ -22,9 +22,8 @@ import numpy as np
 from repro.monitor.backends import DEFAULT_BACKEND
 from repro.monitor.monitor import NeuronActivationMonitor
 from repro.monitor.patterns import binarize
-from repro.nn.hooks import ActivationTap
+from repro.nn.inference import compile_inference
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -171,13 +170,7 @@ def _extract_detection(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Trunk patterns plus (N, K, C) logits for a scene batch."""
     model.eval()
-    logits_chunks = []
-    with ActivationTap(monitored_module) as tap:
-        for start in range(0, len(inputs), batch_size):
-            batch = Tensor(inputs[start : start + batch_size])
-            logits_chunks.append(model(batch).data)
-    activations = tap.concatenated()
-    logits = np.concatenate(logits_chunks, axis=0)
+    activations, logits = compile_inference(model, monitored_module)(inputs, batch_size)
     if logits.ndim != 3:
         raise ValueError(
             f"detection model must emit (N, K, C) logits, got shape {logits.shape}"

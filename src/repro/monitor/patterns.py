@@ -2,8 +2,11 @@
 
 A pattern is the elementwise binarisation of a ReLU layer's output:
 ``prelu(x) = 1 if x > 0 else 0``.  These helpers extract patterns for whole
-datasets in one batched forward sweep through the network, using a forward
-hook on the monitored module.
+datasets in one batched forward sweep through the network.  The sweep runs
+as a plain-numpy inference plan (:func:`repro.nn.inference.compile_inference`)
+that builds no autograd graph; a model the plan does not cover takes the
+autograd forward pass with a hook on the monitored module, and each such
+run is counted in :data:`repro.nn.inference.FALLBACKS`.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.hooks import ActivationTap
+from repro.nn.inference import compile_inference
 from repro.nn.layers import Module
-from repro.nn.tensor import Tensor
 
 
 def binarize(activations: np.ndarray) -> np.ndarray:
@@ -89,13 +91,7 @@ def extract_patterns(
         width = infer_pattern_width(model, monitored_module)
         return np.zeros((0, width), dtype=np.uint8), np.zeros((0, 1))
     model.eval()
-    logits_chunks = []
-    with ActivationTap(monitored_module) as tap:
-        for start in range(0, len(inputs), batch_size):
-            batch = Tensor(inputs[start : start + batch_size])
-            logits_chunks.append(model(batch).data)
-    activations = tap.concatenated()
-    logits = np.concatenate(logits_chunks, axis=0)
+    activations, logits = compile_inference(model, monitored_module)(inputs, batch_size)
     return binarize(activations), logits
 
 

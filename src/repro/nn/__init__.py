@@ -2,8 +2,12 @@
 
 Provides reverse-mode autograd (:class:`Tensor`), the layer types used by
 the paper's Table I architectures, cross-entropy training, data loading and
-checkpointing.  The monitor subpackage observes networks built with these
-modules through forward hooks (:class:`ActivationTap`).
+checkpointing.  Autograd is the training path and the reference forward
+pass.  The monitor reads the monitored layer and the logits through
+:func:`compile_inference`, which runs an eval-mode ``Sequential`` as plain
+numpy ops with no autograd graph; any other model falls back to the
+autograd forward with a forward hook (:class:`ActivationTap`), and each
+such run is counted in ``repro.nn.inference.FALLBACKS``.
 """
 
 from repro.nn.tensor import Tensor
@@ -31,6 +35,7 @@ from repro.nn.data import (
 from repro.nn.train import EpochStats, Trainer, predict, predict_logits
 from repro.nn.serialize import load_model, save_model
 from repro.nn.hooks import ActivationTap
+from repro.nn.inference import compile_inference
 
 __all__ = [
     "Tensor",
@@ -65,4 +70,5 @@ __all__ = [
     "save_model",
     "load_model",
     "ActivationTap",
+    "compile_inference",
 ]

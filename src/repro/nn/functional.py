@@ -100,19 +100,19 @@ def conv2d(
 
     cols = im2col(x.data, (kh, kw), stride)          # (N, C*kh*kw, L)
     flat_w = weight.data.reshape(c_out, -1)          # (C_out, C*kh*kw)
-    out = np.einsum("of,nfl->nol", flat_w, cols)     # (N, C_out, L)
+    out = flat_w @ cols                              # (N, C_out, L), BLAS
     out += bias.data.reshape(1, c_out, 1)
     out = out.reshape(n, c_out, out_h, out_w)
 
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(n, c_out, -1)       # (N, C_out, L)
         if weight.requires_grad:
-            grad_w = np.einsum("nol,nfl->of", grad_flat, cols)
+            grad_w = (grad_flat @ cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if bias.requires_grad:
             bias._accumulate(grad_flat.sum(axis=(0, 2)))
         if x.requires_grad:
-            grad_cols = np.einsum("of,nol->nfl", flat_w, grad_flat)
+            grad_cols = flat_w.T @ grad_flat         # (N, C*kh*kw, L)
             x._accumulate(col2im(grad_cols, x.shape, (kh, kw), stride))
 
     return Tensor._make(out, (x, weight, bias), backward)

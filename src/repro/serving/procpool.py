@@ -801,6 +801,7 @@ class ProcessShardPool:
         owns the requeue)."""
         ring = self._rings[worker.index]
         wire = None
+        via_ring = False
         # The slot layout is one class id per row: anything else (odd
         # caller-shaped blocks; they fail validation worker-side) rides
         # the pipe, as do non-integer class arrays.
@@ -815,6 +816,7 @@ class ProcessShardPool:
                 shmring.frame_request(ring, slot, pending.packed, pending.classes)
                 pending.slot = slot
                 wire = pending.wire_shm(slot)
+                via_ring = True
         if wire is None:
             wire = pending.wire()  # oversized block or rings exhausted
         try:
@@ -823,8 +825,10 @@ class ProcessShardPool:
         except (OSError, ValueError):
             self._on_worker_death(worker)
             return False
+        # Not ``pending.slot``: the pump may already have answered the
+        # block and reset its slot to -1.
         with self._lock:
-            if pending.slot >= 0:
+            if via_ring:
                 self._ring_blocks[worker.index] += 1
             else:
                 self._pipe_blocks[worker.index] += 1

@@ -571,6 +571,11 @@ class StreamServer:
             enqueued_at=time.perf_counter(),
         )
         await self._classify_queue.put(request)
+        stats = self._classify_stats
+        depth = self._classify_queue.qsize()
+        stats.queue_depth = depth
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
         return await request.future
 
     # ------------------------------------------------------------------

@@ -352,6 +352,34 @@ class TestStreamServer:
             # softmax; verdicts agree, confidences agree to rounding.
             assert got.confidence == pytest.approx(want.confidence)
 
+    def test_concurrent_classify_records_queue_depth(self):
+        """Regression: ``classify`` never recorded the depth of its queue,
+        so the classify stats row read ``max_queue_depth`` 0 under load."""
+        from repro.monitor import MonitoredClassifier
+        from repro.nn.layers import Linear, ReLU, Sequential
+
+        rng = np.random.default_rng(6)
+        model = Sequential(Linear(6, 12), ReLU(), Linear(12, 3))
+        inputs = rng.normal(size=(30, 6))
+        monitor = NeuronActivationMonitor.build(
+            model, model[1], list(zip(inputs, rng.integers(0, 3, 30))),
+            gamma=1, backend="bitset",
+        )
+        classifier = MonitoredClassifier(model, model[1], monitor)
+
+        async def _run():
+            server = StreamServer(
+                ShardRouter.partition(monitor, 1), classifier=classifier,
+                max_batch=8, executor="inline",
+            )
+            async with server:
+                await asyncio.gather(*(server.classify(inputs[i]) for i in range(8)))
+                return server.stats()
+
+        (classify_row,) = [row for row in asyncio.run(_run()) if row["shard"] == -1]
+        assert classify_row["requests"] == 8
+        assert classify_row["max_queue_depth"] >= 1
+
     def test_bad_request_fails_without_wedging_the_worker(self):
         """A wrong-width pattern must raise in its own caller, and the
         shard worker must survive to serve later requests."""

@@ -73,6 +73,26 @@ def _assert_rings_fully_free(pool):
             assert len(ring.free) == ring.request.slots
 
 
+class _AnsweredBeforeReturn:
+    """Worker-connection proxy whose ``send`` returns only after every
+    block in flight at send time has its answer (slot already recycled)."""
+
+    def __init__(self, conn, worker):
+        self._conn = conn
+        self._worker = worker
+
+    def send(self, message):
+        waiting = list(self._worker.inflight.values())
+        self._conn.send(message)
+        deadline = time.monotonic() + 30
+        while not all(p.future.done() for p in waiting):
+            assert time.monotonic() < deadline, "block never answered"
+            time.sleep(0.001)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
 class TestShmEquivalence:
     def test_shm_pool_matches_monolith_and_pipe(self):
         monitor = _build_monitor(gamma=1)
@@ -160,6 +180,30 @@ class TestShmEquivalence:
                 verdicts, _ = future.result(timeout=60)
                 np.testing.assert_array_equal(verdicts, expected[piece])
             assert pool.total_ring_blocks + pool.total_pipe_blocks == len(futures)
+            _assert_rings_fully_free(pool)
+
+    def test_answered_ring_blocks_still_count_as_ring(self):
+        """Regression: the send path read ``pending.slot`` after the send,
+        when the pump may already have answered the block and reset its
+        slot to -1, so a ring block was counted as a pipe block.  Here each
+        send returns only once its block is answered."""
+        monitor = _build_monitor()
+        router = ShardRouter.partition(monitor, 1)
+        patterns, classes = _queries(n=40)
+        blocks = 10
+        with ProcessShardPool(router.shards, num_workers=1, transport="shm") as pool:
+            worker = pool._workers[0]
+            worker.conn = _AnsweredBeforeReturn(worker.conn, worker)
+            shard_id = router.shards[0].shard_id
+            for i in range(blocks):
+                piece = slice(4 * i, 4 * i + 4)
+                future = pool.submit(shard_id, patterns[piece], classes[piece])
+                verdicts, _ = future.result(timeout=60)
+                np.testing.assert_array_equal(
+                    verdicts, monitor.check(patterns[piece], classes[piece])
+                )
+            assert pool.total_pipe_blocks == 0
+            assert pool.total_ring_blocks == blocks
             _assert_rings_fully_free(pool)
 
     def test_env_toggle_selects_pipe(self, monkeypatch):

@@ -57,6 +57,12 @@ def _env_flag(name: str, default: bool) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
+#: Batches smaller than this take one Python walk per row in
+#: :meth:`BDDManager.contains_batch`; larger ones the vectorized walk,
+#: whose fixed cost is a few numpy gathers per variable level.  Measured
+#: by ``benchmarks/test_bench_grouped_check.py``.
+SCALAR_WALK_ROWS = 32
+
 #: Public operations that end in a ``_checkpoint`` — the only places an
 #: automatic GC or reordering pass can run.  Raw refs are stable *within*
 #: one of these operations (the result is an extra root) but may be
@@ -167,10 +173,10 @@ class BDDManager:
         self._in_reorder = False
         self._reorder_count = 0
         self._reorder_swaps = 0
-        # Numpy mirrors of the node arrays for the vectorized batch walk;
+        # Per-ref walk tables for the vectorized batch walk;
         # invalidated (by version bump) on any structural change.
         self._np_version = 0
-        self._np_cache: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
+        self._np_cache: Optional[list] = None
         # Root-set generation (pins/handles) + memoised live-node count so
         # cache_stats() stays O(1) on repeated calls (per-class statistics
         # sweeps share one manager and would otherwise re-mark the whole
@@ -607,26 +613,47 @@ class BDDManager:
             ref = child ^ flip
         return ref == self.TRUE
 
-    def _numpy_nodes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _walk_tables(self, as_lists: bool = False):
+        """Per-ref lookup tables for the batch walks.
+
+        ``var_of[r]`` is the variable ``r`` tests (``num_vars`` for both
+        terminals, a padding column of the bit matrix) and
+        ``step[2 * r + bit]`` the ref one hop down, complement parity
+        already applied.  Both terminals step to themselves, so the
+        vectorized walk can run a fixed number of levels without masking
+        finished rows.  Rebuilt after any structural change; the list
+        form (for the Python walk) is made on first use.
+        """
         cache = self._np_cache
         if cache is None or cache[0] != self._np_version:
-            cache = (
-                self._np_version,
-                np.asarray(self._var, dtype=np.int64),
-                np.asarray(self._low, dtype=np.int64),
-                np.asarray(self._high, dtype=np.int64),
+            var = np.asarray(self._var, dtype=np.int64)
+            children = np.stack(
+                [np.asarray(self._low, dtype=np.int64),
+                 np.asarray(self._high, dtype=np.int64)], axis=1,
             )
+            # A complemented ref (parity 0) flips both children.
+            step = np.repeat(children, 2, axis=0)
+            step[0::2] ^= 1
+            step[0] = (self.FALSE, self.FALSE)
+            step[1] = (self.TRUE, self.TRUE)
+            cache = [self._np_version, np.repeat(var, 2), step.reshape(-1), None]
             self._np_cache = cache
-        return cache[1], cache[2], cache[3]
+        if not as_lists:
+            return cache[1], cache[2]
+        if cache[3] is None:
+            cache[3] = (cache[1].tolist(), cache[2].tolist())
+        return cache[3]
 
-    def contains_batch(self, f: int, patterns: "np.ndarray") -> "np.ndarray":
+    def contains_batch(self, f, patterns: "np.ndarray") -> "np.ndarray":
         """Membership queries for a whole ``(N, num_vars)`` pattern matrix.
 
-        The walk is vectorized across rows: one gather per level advances
-        every still-active query by one node hop (complement parity is a
-        single XOR on the ref vector), so the per-row cost is numpy work
-        instead of a Python loop — the difference between the batched BDD
-        path and the bitset kernel being in the same league.
+        ``f`` is one root for every row, or an int vector holding one
+        root per row (the grouped query of a per-class monitor: each row
+        walks its own class's zone).  Below :data:`SCALAR_WALK_ROWS` rows
+        each row walks in Python, one table lookup per level; larger
+        batches advance every row one hop per level with three numpy
+        gathers, so the per-row cost is numpy work instead of a Python
+        loop.
         """
         patterns = np.atleast_2d(np.asarray(patterns))
         if patterns.shape[1] != self.num_vars:
@@ -634,25 +661,33 @@ class BDDManager:
                 f"patterns have {patterns.shape[1]} bits, expected {self.num_vars}"
             )
         n = len(patterns)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if f <= 1:
-            return np.full(n, f == self.TRUE, dtype=bool)
-        var_arr, low_arr, high_arr = self._numpy_nodes()
-        bits = patterns.astype(bool, copy=False)
-        refs = np.full(n, f, dtype=np.int64)
-        active = np.arange(n)
-        for _ in range(self.num_vars + 1):
-            still = refs[active] > 1
-            active = active[still]
-            if not len(active):
-                break
-            cur = refs[active]
-            nodes = cur >> 1
-            flip = (cur & 1) ^ 1
-            bit = bits[active, var_arr[nodes]]
-            child = np.where(bit, high_arr[nodes], low_arr[nodes])
-            refs[active] = child ^ flip
+        if np.ndim(f) == 0:
+            roots = np.full(n, f, dtype=np.int64)
+        else:
+            roots = np.asarray(f, dtype=np.int64)
+            if roots.shape != (n,):
+                raise ValueError(
+                    f"got {roots.shape} roots for {n} pattern rows"
+                )
+        if n < SCALAR_WALK_ROWS:
+            var_of, step = self._walk_tables(as_lists=True)
+            ends = []
+            for ref, row in zip(roots.tolist(), (patterns != 0).tolist()):
+                while ref > 1:
+                    ref = step[2 * ref + row[var_of[ref]]]
+                ends.append(ref)
+            return np.array(ends, dtype=np.int64) == self.TRUE
+        var_of, step = self._walk_tables()
+        width = self.num_vars + 1
+        bits = np.zeros((n, width), dtype=np.int64)
+        bits[:, : self.num_vars] = patterns != 0
+        bits = bits.reshape(-1)
+        row_base = np.arange(n, dtype=np.int64) * width
+        refs = roots
+        # Each hop goes at least one level down, so num_vars hops reach a
+        # terminal from any root.
+        for _ in range(self.num_vars):
+            refs = step[2 * refs + bits[row_base + var_of[refs]]]
         return refs == self.TRUE
 
     def hamming_expand(self, f: int, monitored: Optional[Sequence[int]] = None) -> int:

@@ -374,6 +374,11 @@ BLOCKING_METHODS = frozenset(
 #: Receiver roots whose methods are event-loop-native, not blocking.
 _ASYNC_NATIVE_ROOTS = frozenset({"asyncio", "loop", "_loop", "event", "_event"})
 
+#: ``asyncio`` functions whose positional arguments are awaitables: a
+#: call passed there builds a coroutine for the loop to run, so it runs
+#: nothing inline (``asyncio.gather(server.classify(x))``).
+_AWAITABLE_TAKERS = frozenset({"gather", "wait_for", "create_task", "ensure_future"})
+
 
 def _root_name(node: ast.AST) -> Optional[str]:
     while isinstance(node, ast.Attribute):
@@ -430,12 +435,33 @@ class AsyncBlockingCallRule(Rule):
                     )
             # A call result is consumed now even when the call itself is
             # awaited (`await loop.run_in_executor(...)`): its *argument*
-            # sub-calls still execute inline, so recurse un-awaited.
+            # sub-calls still execute inline, so recurse un-awaited —
+            # except the awaitables handed to an asyncio taker.
+            takes_awaitables = (
+                terminal in _AWAITABLE_TAKERS
+                and _receiver_name(node.func) == "asyncio"
+            )
             for child in ast.iter_child_nodes(node):
-                yield from self._scan_node(ctx, child, awaited=False)
+                if takes_awaitables and child in node.args:
+                    yield from self._scan_awaitable(ctx, child)
+                else:
+                    yield from self._scan_node(ctx, child, awaited=False)
             return
         for child in ast.iter_child_nodes(node):
             yield from self._scan_node(ctx, child, awaited=awaited)
+
+
+    def _scan_awaitable(self, ctx: FileContext, arg: ast.AST) -> Iterator[Finding]:
+        """An argument of an asyncio taker: its outermost call (also each
+        element of a starred comprehension) counts as awaited."""
+        if isinstance(arg, ast.Starred):
+            yield from self._scan_awaitable(ctx, arg.value)
+        elif isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            yield from self._scan_awaitable(ctx, arg.elt)
+            for comprehension in arg.generators:
+                yield from self._scan_node(ctx, comprehension, awaited=False)
+        else:
+            yield from self._scan_node(ctx, arg, awaited=isinstance(arg, ast.Call))
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,12 @@ and γ (enforced by ``tests/test_backend_equivalence.py``).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.monitor.zone import ComfortZone
 
 
 class ZoneBackend(ABC):
@@ -80,6 +83,54 @@ class ZoneBackend(ABC):
         shortlist instead of scanning all M rows; the BDD engine stops
         its γ-sweep at k), and ``min_distances(Q, cap=k) <= gamma`` stays
         equivalent to ``contains_batch(Q, gamma)`` for every gamma ≤ k."""
+
+    # ------------------------------------------------------------------
+    # grouped queries (one call per monitor query)
+    # ------------------------------------------------------------------
+    @classmethod
+    def contains_grouped(
+        cls,
+        zones: Mapping[int, "ComfortZone"],
+        patterns: np.ndarray,
+        classes: np.ndarray,
+    ) -> np.ndarray:
+        """Membership of every row in its own class's zone.
+
+        ``zones`` maps class -> :class:`~repro.monitor.zone.ComfortZone`
+        (each queried at its own γ), ``patterns`` is the ``(N, num_vars)``
+        projected batch and ``classes`` the per-row class vector.  Rows of
+        a class without a zone are ``True`` (the monitor has no opinion).
+        This default asks each zone once for its rows; a backend whose
+        zones share an engine may answer the whole batch in one pass.
+        """
+        classes = np.asarray(classes)
+        supported = np.ones(len(patterns), dtype=bool)
+        for c, zone in zones.items():
+            mask = classes == c
+            if mask.any():
+                supported[mask] = zone.contains_batch(patterns[mask])
+        return supported
+
+    @classmethod
+    def min_distances_grouped(
+        cls,
+        zones: Mapping[int, "ComfortZone"],
+        patterns: np.ndarray,
+        classes: np.ndarray,
+        cap: Optional[int] = None,
+    ) -> np.ndarray:
+        """Per-row :meth:`min_distances` to the row's own class's ``Z^0``.
+
+        Arguments as in :meth:`contains_grouped`; rows of a class without
+        a zone get distance 0.
+        """
+        classes = np.asarray(classes)
+        distances = np.zeros(len(patterns), dtype=np.int64)
+        for c, zone in zones.items():
+            mask = classes == c
+            if mask.any():
+                distances[mask] = zone.min_distances(patterns[mask], cap=cap)
+        return distances
 
     @abstractmethod
     def is_empty(self) -> bool:

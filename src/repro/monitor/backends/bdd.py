@@ -11,7 +11,10 @@ Upgrades over the seed implementation:
   of N sequential cube inserts;
 * γ as a query parameter with a per-γ cache of enlarged zones, built
   incrementally from the largest cached γ below the request;
-* batched membership via the vectorized ``BDDManager.contains_batch``;
+* batched membership via the vectorized ``BDDManager.contains_batch``,
+  and grouped monitor queries (:meth:`BDDZoneBackend.contains_grouped`)
+  that answer a batch spanning many classes in one walk, each row seeded
+  at its own class's zone root;
 * unique-table garbage collection: the backend *pins* its visited set
   and every cached zone as GC roots (``incref``/``decref``) and
   registers a remap listener, so automatic collections (armed via
@@ -24,7 +27,7 @@ Upgrades over the seed implementation:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +35,9 @@ from repro.bdd import BDDManager
 from repro.bdd.analysis import enumerate_models, sat_count, zone_statistics
 from repro.bdd.manager import _env_flag, _env_int
 from repro.monitor.backends.base import ZoneBackend
+
+if TYPE_CHECKING:
+    from repro.monitor.zone import ComfortZone
 
 #: Default auto-GC trigger for backend-owned managers (physical nodes).
 #: Bare ``BDDManager()`` instances default to *disabled* because raw refs
@@ -213,11 +219,11 @@ class BDDZoneBackend(ZoneBackend):
         distance of a row is the first γ whose zone accepts it.  The γ
         sweep stops as soon as every row is resolved; each expansion step
         is cached, so a stream of queries against a warm cache costs one
-        ``contains_batch`` per distinct distance value observed.  Rows
-        further than :attr:`max_expand_gamma` (beyond any γ a calibrated
-        monitor serves) are resolved exactly against the enumerated
-        visited set instead of materialising enormous γ-balls.
-        Empty store: ``num_vars + 1`` for every row.
+        walk per distinct distance value observed.  Rows further than
+        :attr:`max_expand_gamma` (beyond any γ a calibrated monitor
+        serves) are resolved exactly against the enumerated visited set
+        instead of materialising enormous γ-balls.  Empty store:
+        ``num_vars + 1`` for every row.
 
         ``cap=k`` (the bounded form, "exact distance, or > k") truncates
         the γ-sweep at k and stamps unresolved rows ``k + 1`` — for
@@ -225,38 +231,148 @@ class BDDZoneBackend(ZoneBackend):
         is ever needed, the natural bounded query for a diagram.
         """
         patterns = self._validate(patterns)
-        if cap is not None and cap < 0:
-            raise ValueError(f"cap must be non-negative, got {cap}")
-        sentinel = self.num_vars + 1
-        if cap is not None:
-            sentinel = min(sentinel, cap + 1)
-        out = np.full(len(patterns), sentinel, dtype=np.int64)
-        if len(patterns) == 0 or self.is_empty():
-            return out
-        unresolved = np.arange(len(patterns))
-        cached_max = max(self._zone_cache, default=0)
-        stop_gamma = min(max(self.max_expand_gamma, cached_max), self.num_vars)
-        if cap is not None:
-            stop_gamma = min(stop_gamma, cap)
-        for gamma in range(stop_gamma + 1):
-            hit = self.contains_batch(patterns[unresolved], gamma)
-            out[unresolved[hit]] = gamma
-            unresolved = unresolved[~hit]
-            if len(unresolved) == 0:
-                return out
-        if cap is not None and stop_gamma == cap:
-            # Bounded sweep exhausted: the rows left are provably > cap
-            # and already hold the cap + 1 sentinel.
-            return out
-        # Exact tail: one vectorised Hamming sweep of the remaining rows
-        # against Z^0 (the explicit pattern matrix every backend can emit).
+        return self._distance_sweep(
+            self.manager, [(self, np.arange(len(patterns)))], patterns, cap
+        )
+
+    def _explicit_distances(
+        self, patterns: np.ndarray, cap: Optional[int]
+    ) -> np.ndarray:
+        """Exact tail: one vectorised Hamming sweep against ``Z^0`` (the
+        explicit pattern matrix every backend can emit)."""
         if self._visited_matrix is None:
             self._visited_matrix = self.visited_patterns()
         visited = self._visited_matrix
-        rest = patterns[unresolved]
-        tail = (rest[:, None, :] != visited[None, :, :]).sum(axis=2).min(axis=1)
-        out[unresolved] = tail if cap is None else np.minimum(tail, cap + 1)
+        tail = (patterns[:, None, :] != visited[None, :, :]).sum(axis=2).min(axis=1)
+        return tail if cap is None else np.minimum(tail, cap + 1)
+
+    @staticmethod
+    def _distance_sweep(
+        manager: BDDManager,
+        groups: Sequence[Tuple["BDDZoneBackend", np.ndarray]],
+        patterns: np.ndarray,
+        cap: Optional[int],
+    ) -> np.ndarray:
+        """:meth:`min_distances` for the rows of several zones at once.
+
+        ``groups`` pairs each zone backend (all on ``manager``) with the
+        indices of its rows in ``patterns``; rows in no group get 0.  Each
+        γ of the sweep is one walk over every still-unresolved row, rooted
+        at its own zone's ``Z^γ``; only zones that still have unresolved
+        rows are expanded, and each zone keeps its own stopping radius
+        and explicit tail.
+        """
+        if cap is not None and cap < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
+        out = np.zeros(len(patterns), dtype=np.int64)
+        # [backend, last γ of its sweep, its unresolved row indices]
+        pending: List[list] = []
+        for backend, rows in groups:
+            sentinel = backend.num_vars + 1
+            if cap is not None:
+                sentinel = min(sentinel, cap + 1)
+            out[rows] = sentinel
+            if len(rows) == 0 or backend.is_empty():
+                continue
+            cached_max = max(backend._zone_cache, default=0)
+            stop = min(max(backend.max_expand_gamma, cached_max), backend.num_vars)
+            if cap is not None:
+                stop = min(stop, cap)
+            pending.append([backend, stop, rows])
+        gamma = 0
+        while True:
+            live = [group for group in pending if group[1] >= gamma and len(group[2])]
+            if not live:
+                break
+            # Expand first: every zone_ref call is a GC safe point that
+            # may renumber a root read before it.  The second pass only
+            # reads cached roots, and nothing runs between it and the walk.
+            for backend, _, _ in live:
+                backend.zone_ref(gamma)
+            roots = np.concatenate([
+                np.full(len(rows), backend.zone_ref(gamma), dtype=np.int64)
+                for backend, _, rows in live
+            ])
+            index = np.concatenate([rows for _, _, rows in live])
+            hit = manager.contains_batch(roots, patterns[index])
+            out[index[hit]] = gamma
+            start = 0
+            for group in live:
+                rows = group[2]
+                group[2] = rows[~hit[start : start + len(rows)]]
+                start += len(rows)
+            gamma += 1
+        for backend, stop, rows in pending:
+            if not len(rows) or (cap is not None and stop == cap):
+                # Resolved, or the bounded sweep is exhausted: the rows
+                # left are provably > cap and hold the cap + 1 sentinel.
+                continue
+            out[rows] = backend._explicit_distances(patterns[rows], cap)
         return out
+
+    # ------------------------------------------------------------------
+    # grouped queries: one walk for a batch spanning many classes
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _shared_manager(zones: Mapping[int, "ComfortZone"]) -> Optional[BDDManager]:
+        """The manager every zone's BDD backend shares, else ``None``."""
+        backends = [zone.backend for zone in zones.values()]
+        first = backends[0] if backends else None
+        if not isinstance(first, BDDZoneBackend):
+            return None
+        for backend in backends:
+            if not isinstance(backend, BDDZoneBackend) or backend.manager is not first.manager:
+                return None
+        return first.manager
+
+    @classmethod
+    def contains_grouped(
+        cls,
+        zones: Mapping[int, "ComfortZone"],
+        patterns: np.ndarray,
+        classes: np.ndarray,
+    ) -> np.ndarray:
+        """One walk for the whole batch, each row rooted at its class's
+        ``Z^γ`` (``TRUE`` for a class without a zone)."""
+        manager = cls._shared_manager(zones)
+        if manager is None:
+            return super().contains_grouped(zones, patterns, classes)
+        labels = np.asarray(classes).tolist()
+        members = {c: zones.get(c) for c in set(labels)}
+        # Expand first: each zone_ref call is a GC safe point that may
+        # renumber a root read before it.  The second pass only reads
+        # cached roots, and nothing runs between it and the walk.
+        for zone in members.values():
+            if zone is not None:
+                zone.backend.zone_ref(zone.gamma)
+        root_of = {
+            c: manager.TRUE if zone is None else zone.backend.zone_ref(zone.gamma)
+            for c, zone in members.items()
+        }
+        roots = np.array([root_of[c] for c in labels], dtype=np.int64)
+        return manager.contains_batch(roots, patterns)
+
+    @classmethod
+    def min_distances_grouped(
+        cls,
+        zones: Mapping[int, "ComfortZone"],
+        patterns: np.ndarray,
+        classes: np.ndarray,
+        cap: Optional[int] = None,
+    ) -> np.ndarray:
+        """The γ-sweep of :meth:`min_distances` run once over the rows of
+        every class: one walk per γ with one root per row."""
+        manager = cls._shared_manager(zones)
+        if manager is None:
+            return super().min_distances_grouped(zones, patterns, classes, cap=cap)
+        present, inverse = np.unique(np.asarray(classes), return_inverse=True)
+        inverse = inverse.reshape(-1)
+        groups = [
+            (zones[int(c)].backend, np.flatnonzero(inverse == k))
+            for k, c in enumerate(present)
+            if int(c) in zones
+        ]
+        return cls._distance_sweep(manager, groups, patterns, cap)
 
     def is_empty(self) -> bool:
         return self._visited == self.manager.empty_set()

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.monitor.backends import DEFAULT_BACKEND
+from repro.monitor.backends import DEFAULT_BACKEND, ZoneBackend
 from repro.monitor.backends.bdd import make_zone_manager
 from repro.monitor.patterns import extract_patterns, pack_patterns, unpack_patterns
 from repro.monitor.zone import ComfortZone
@@ -191,15 +191,10 @@ class NeuronActivationMonitor:
         Returns a boolean array: ``True`` = pattern supported by training
         (inside the zone), ``False`` = out-of-pattern warning.
         """
-        patterns = np.atleast_2d(patterns)
-        predicted_classes = np.asarray(predicted_classes)
-        projected = self.project(patterns)
-        supported = np.ones(len(patterns), dtype=bool)
-        for c, zone in self.zones.items():
-            mask = predicted_classes == c
-            if mask.any():
-                supported[mask] = zone.contains_batch(projected[mask])
-        return supported
+        projected = self.project(np.atleast_2d(patterns))
+        return self._query_backend.contains_grouped(
+            self.zones, projected, np.asarray(predicted_classes)
+        )
 
     def min_distances(
         self,
@@ -219,15 +214,16 @@ class NeuronActivationMonitor:
         > k"), which lets the indexed bitset backend serve the query from
         its pigeonhole shortlist instead of scanning all stored rows.
         """
-        patterns = np.atleast_2d(patterns)
-        predicted_classes = np.asarray(predicted_classes)
-        projected = self.project(patterns)
-        distances = np.zeros(len(patterns), dtype=np.int64)
-        for c, zone in self.zones.items():
-            mask = predicted_classes == c
-            if mask.any():
-                distances[mask] = zone.min_distances(projected[mask], cap=cap)
-        return distances
+        projected = self.project(np.atleast_2d(patterns))
+        return self._query_backend.min_distances_grouped(
+            self.zones, projected, np.asarray(predicted_classes), cap=cap
+        )
+
+    @property
+    def _query_backend(self) -> ZoneBackend:
+        """The backend whose grouped entry points answer a monitor query:
+        one call per batch, however many classes it spans."""
+        return next(iter(self.zones.values())).backend
 
     def monitors_class(self, class_index: int) -> bool:
         """Whether the monitor has a zone for this class."""

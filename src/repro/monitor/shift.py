@@ -251,6 +251,14 @@ class DistanceShiftDetector:
         # loop serialise on one lock.
         self._lock = named_lock("DistanceShiftDetector._lock")
         self._set_baseline(baseline_distances, max_distance)
+        self._clear_window()
+
+    def _clear_window(self) -> None:
+        """Empty the window and its running tallies (per-bin counts over
+        the current binning, integer sum of the raw distances)."""
+        self._buffer.clear()
+        self._counts: List[int] = [0] * (self.max_distance + 2)
+        self._sum = 0
 
     def _set_baseline(
         self, baseline_distances: Iterable[int], max_distance: Optional[int]
@@ -307,15 +315,16 @@ class DistanceShiftDetector:
                 histogram=self.baseline_histogram.copy(),
                 alarm=False,
             )
-        histogram = self._histogram(np.asarray(self._buffer, dtype=np.int64))
+        # Integer counts over their sum and an integer sum over the length
+        # give the floats a rebuild of the whole window would (both are
+        # one correctly rounded division of the same exact integers).
+        size = len(self._buffer)
+        histogram = np.array(self._counts, dtype=np.int64) / size
         divergence = 0.5 * float(np.abs(histogram - self.baseline_histogram).sum())
-        alarm = (
-            len(self._buffer) >= self.window
-            and divergence >= self.divergence_threshold
-        )
+        alarm = size >= self.window and divergence >= self.divergence_threshold
         return DistanceShiftState(
             samples_seen=self._seen,
-            window_mean=float(np.mean(self._buffer)),
+            window_mean=self._sum / size,
             divergence=divergence,
             histogram=histogram,
             alarm=bool(alarm),
@@ -325,7 +334,15 @@ class DistanceShiftDetector:
         """One observation; caller holds ``self._lock``."""
         if distance < 0:
             raise ValueError(f"distance must be non-negative, got {distance}")
-        self._buffer.append(int(distance))
+        distance = int(distance)
+        overflow = self.max_distance + 1
+        if len(self._buffer) == self.window:
+            evicted = self._buffer[0]
+            self._counts[min(evicted, overflow)] -= 1
+            self._sum -= evicted
+        self._buffer.append(distance)
+        self._counts[min(distance, overflow)] += 1
+        self._sum += distance
         self._seen += 1
         return self._state()
 
@@ -367,10 +384,10 @@ class DistanceShiftDetector:
                 baseline_distances,
                 self.max_distance if max_distance is None else max_distance,
             )
-            self._buffer.clear()
+            self._clear_window()
 
     def reset(self) -> None:
         """Clear the sliding window (the baseline is kept)."""
         with self._lock:
-            self._buffer.clear()
+            self._clear_window()
             self._seen = 0

@@ -12,8 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.nn.data import DataLoader, Dataset
-from repro.nn.layers import Module
+from repro.nn.data import DataLoader, Dataset, stack_dataset
+from repro.nn.inference import compile_inference
+from repro.nn.layers import Module, Sequential
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import Optimizer
 from repro.nn.tensor import Tensor
@@ -90,26 +91,38 @@ class Trainer:
 
     def evaluate(self, dataset: Dataset, batch_size: int = 256) -> float:
         """Return classification accuracy on ``dataset`` in eval mode."""
-        from repro.nn.data import stack_dataset
-
-        predictions = predict(self.model, dataset, batch_size=batch_size)
-        _, labels = stack_dataset(dataset)
-        return float((predictions == labels).mean()) if len(labels) else 0.0
+        if len(dataset) == 0:
+            return 0.0
+        inputs, labels = stack_dataset(dataset)
+        predictions = predict_logits(self.model, inputs, batch_size).argmax(axis=1)
+        return float((predictions == labels).mean())
 
 
 def predict(model: Module, dataset: Dataset, batch_size: int = 256) -> np.ndarray:
     """Predicted class indices for every example, in dataset order."""
-    model.eval()
-    loader = DataLoader(dataset, batch_size=batch_size, shuffle=False)
-    outputs = [model(Tensor(inputs)).data.argmax(axis=1) for inputs, _ in loader]
-    return np.concatenate(outputs) if outputs else np.empty(0, dtype=np.int64)
+    if len(dataset) == 0:
+        return np.empty(0, dtype=np.int64)
+    inputs, _ = stack_dataset(dataset)
+    return predict_logits(model, inputs, batch_size).argmax(axis=1)
 
 
 def predict_logits(model: Module, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Raw logits for an input batch array, evaluated in chunks."""
+    """Raw logits for an input batch array, evaluated in chunks.
+
+    An eval-mode :class:`~repro.nn.layers.Sequential` runs as an inference
+    plan tapping its last layer (no autograd graph is built; a model the
+    plan cannot serve falls back and is counted in
+    :data:`repro.nn.inference.FALLBACKS`).  Any other model runs the
+    autograd forward pass.
+    """
     model.eval()
+    if len(inputs) == 0:
+        return np.empty((0,))
+    if isinstance(model, Sequential) and model.layers:
+        _, logits = compile_inference(model, model.layers[-1])(inputs, batch_size)
+        return logits
     chunks = [
         model(Tensor(inputs[start : start + batch_size])).data
         for start in range(0, len(inputs), batch_size)
     ]
-    return np.concatenate(chunks) if chunks else np.empty((0,))
+    return np.concatenate(chunks)

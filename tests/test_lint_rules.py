@@ -265,6 +265,66 @@ def test_async_blocking_call_flags_kernel_calls():
     assert findings
 
 
+_GATHERED_GOOD = """
+import asyncio
+
+class S:
+    async def fan_out(self, server, probes):
+        verdicts = await asyncio.gather(
+            *(server.classify(probes[i]) for i in range(len(probes)))
+        )
+        first = await asyncio.wait_for(server.classify(probes[0]), timeout=1.0)
+        task = asyncio.create_task(server.classify(probes[1]))
+        return verdicts, first, await task
+"""
+
+_GATHERED_BAD = {
+    "bare call": """
+import asyncio
+
+class S:
+    async def one(self, server, x):
+        return server.classify(x)
+""",
+    "blocking argument of a gathered call": """
+import asyncio
+
+class S:
+    async def fan_out(self, server, conn):
+        return await asyncio.gather(server.classify(conn.recv()))
+""",
+    "not an asyncio taker": """
+class S:
+    async def fan_out(self, server, pool, x):
+        return await pool.gather(server.classify(x))
+""",
+    "blocking call in the comprehension's iterable": """
+import asyncio
+
+class S:
+    async def fan_out(self, server, conn):
+        return await asyncio.gather(*(server.classify(x) for x in conn.recv()))
+""",
+}
+
+
+def test_async_blocking_call_allows_calls_handed_to_asyncio_takers():
+    findings, _ = findings_for(_GATHERED_GOOD, "async-blocking-call")
+    assert not findings, findings
+
+
+@pytest.mark.parametrize("case", sorted(_GATHERED_BAD))
+def test_async_blocking_call_still_flags_inline_calls(case):
+    findings, _ = findings_for(_GATHERED_BAD[case], "async-blocking-call")
+    assert len(findings) == 1, findings
+
+
+def test_serving_tests_lint_clean_of_gathered_classify():
+    """``asyncio.gather(*(server.classify(...) ...))`` in the serving
+    tests used to be reported as a blocking ``classify`` call."""
+    assert run_lint([str(REPO / "tests" / "test_serving.py")]).findings == []
+
+
 def test_async_blocking_call_allows_asyncio_sleep():
     source = """
 import asyncio

@@ -10,6 +10,7 @@ from repro.nn import (
     CrossEntropyLoss,
     DataLoader,
     Linear,
+    Module,
     MSELoss,
     ReLU,
     SGD,
@@ -235,6 +236,55 @@ class TestTrainer:
         assert predict(model, ds).shape == (20,)
         logits = predict_logits(model, ds.inputs)
         assert logits.shape == (20, 2)
+
+    @staticmethod
+    def _autograd_logits(model, inputs):
+        model.eval()
+        return model(Tensor(inputs)).data
+
+    @pytest.mark.parametrize("shape", ["conv", "mlp"])
+    def test_prediction_runs_the_inference_plan(self, shape):
+        """``predict``/``predict_logits`` serve a Sequential from the
+        plan (no fallback) and agree with the autograd forward pass."""
+        from repro.nn import Conv2d, Flatten, MaxPool2d
+        from repro.nn import inference
+
+        rng = np.random.default_rng(7)
+        if shape == "conv":
+            model = Sequential(
+                Conv2d(2, 4, 3, padding=1, rng=rng), ReLU(), MaxPool2d(2),
+                Flatten(), Linear(4 * 3 * 3, 5, rng=rng),
+            )
+            inputs = rng.normal(size=(37, 2, 6, 6))
+        else:
+            model = Sequential(Linear(6, 16, rng=rng), ReLU(), Linear(16, 4, rng=rng))
+            inputs = rng.normal(size=(37, 6))
+        labels = rng.integers(0, 4, size=len(inputs))
+        expected = self._autograd_logits(model, inputs)
+        before = dict(inference.FALLBACKS)
+        logits = predict_logits(model, inputs, batch_size=16)
+        predictions = predict(model, ArrayDataset(inputs, labels), batch_size=16)
+        assert dict(inference.FALLBACKS) == before
+        assert np.abs(logits - expected).max() < 1e-12
+        np.testing.assert_array_equal(logits.argmax(axis=1), expected.argmax(axis=1))
+        np.testing.assert_array_equal(predictions, expected.argmax(axis=1))
+
+    def test_prediction_of_other_models_keeps_autograd(self):
+        class Wrapped(Module):
+            def __init__(self):
+                super().__init__()
+                self.inner = Sequential(Linear(3, 2, rng=np.random.default_rng(2)))
+
+            def forward(self, x):
+                return self.inner(x)
+
+        model = Wrapped()
+        inputs = np.random.default_rng(3).normal(size=(9, 3))
+        np.testing.assert_array_equal(
+            predict_logits(model, inputs), self._autograd_logits(model, inputs)
+        )
+        assert predict(model, ArrayDataset(inputs, np.zeros(9, dtype=np.int64))).shape == (9,)
+        assert predict(model, ArrayDataset(inputs[:0], np.zeros(0, dtype=np.int64))).shape == (0,)
 
 
 class TestSerialization:

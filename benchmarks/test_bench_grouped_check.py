@@ -9,9 +9,9 @@ at γ=2, for batches of 1, 8 (one coalesced ``classify`` batch), 64 and 512
 validation rows, and both must give the same verdicts.
 
 The second table justifies ``repro.bdd.manager.SCALAR_WALK_ROWS``: the
-Python walk (one table lookup per level and row) against the vectorized
-multi-root walk (three numpy gathers per level for the whole batch), on
-mixed-class batches of growing size.
+per-row ``BDDManager.contains`` walk against the vectorized multi-root
+walk (three numpy gathers per level for the whole batch), on mixed-class
+batches of growing size.
 """
 
 import time
@@ -101,7 +101,7 @@ def test_grouped_check_against_per_class_loop(mnist_system, monkeypatch):
         return walk
 
     rows.append("")
-    rows.append(f"{'rows':>6} {'python walk':>12} {'vector walk':>12}   faster")
+    rows.append(f"{'rows':>6} {'scalar walk':>12} {'vector walk':>12}   faster")
     walks = {}
     crossover = None
     for size in WALK_ROWS:
@@ -110,14 +110,14 @@ def test_grouped_check_against_per_class_loop(mnist_system, monkeypatch):
             for p, classes in _batches(rng, projected, predictions, size, count)
         ]
         timed = _best_us(
-            {"python": walk_with(10**9), "vector": walk_with(0)}, batches
+            {"scalar": walk_with(10**9), "vector": walk_with(0)}, batches
         )
-        walks[str(size)] = {"python_us": timed["python"], "vector_us": timed["vector"]}
-        faster = "python" if timed["python"] < timed["vector"] else "vector"
+        walks[str(size)] = {"scalar_us": timed["scalar"], "vector_us": timed["vector"]}
+        faster = "scalar" if timed["scalar"] < timed["vector"] else "vector"
         if faster == "vector" and crossover is None:
             crossover = size
         rows.append(
-            f"{size:>6} {timed['python']:>9.1f} us {timed['vector']:>9.1f} us   {faster}"
+            f"{size:>6} {timed['scalar']:>9.1f} us {timed['vector']:>9.1f} us   {faster}"
         )
     rows.append(
         f"first batch size where the vector walk wins: {crossover}; "

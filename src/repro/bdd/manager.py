@@ -57,11 +57,11 @@ def _env_flag(name: str, default: bool) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-#: Batches smaller than this take one Python walk per row in
-#: :meth:`BDDManager.contains_batch`; larger ones the vectorized walk,
-#: whose fixed cost is a few numpy gathers per variable level.  Measured
-#: by ``benchmarks/test_bench_grouped_check.py``.
-SCALAR_WALK_ROWS = 32
+#: Batches smaller than this take the scalar :meth:`BDDManager.contains`
+#: walk per row in :meth:`BDDManager.contains_batch`; larger ones the
+#: vectorized walk, whose fixed cost is a few numpy gathers per variable
+#: level.  Measured by ``benchmarks/test_bench_grouped_check.py``.
+SCALAR_WALK_ROWS = 24
 
 #: Public operations that end in a ``_checkpoint`` — the only places an
 #: automatic GC or reordering pass can run.  Raw refs are stable *within*
@@ -176,7 +176,7 @@ class BDDManager:
         # Per-ref walk tables for the vectorized batch walk;
         # invalidated (by version bump) on any structural change.
         self._np_version = 0
-        self._np_cache: Optional[list] = None
+        self._np_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
         # Root-set generation (pins/handles) + memoised live-node count so
         # cache_stats() stays O(1) on repeated calls (per-class statistics
         # sweeps share one manager and would otherwise re-mark the whole
@@ -613,16 +613,15 @@ class BDDManager:
             ref = child ^ flip
         return ref == self.TRUE
 
-    def _walk_tables(self, as_lists: bool = False):
-        """Per-ref lookup tables for the batch walks.
+    def _walk_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-ref lookup tables for the vectorized batch walk.
 
         ``var_of[r]`` is the variable ``r`` tests (``num_vars`` for both
         terminals, a padding column of the bit matrix) and
         ``step[2 * r + bit]`` the ref one hop down, complement parity
-        already applied.  Both terminals step to themselves, so the
-        vectorized walk can run a fixed number of levels without masking
-        finished rows.  Rebuilt after any structural change; the list
-        form (for the Python walk) is made on first use.
+        already applied.  Both terminals step to themselves, so the walk
+        can run a fixed number of levels without masking finished rows.
+        Rebuilt after any structural change.
         """
         cache = self._np_cache
         if cache is None or cache[0] != self._np_version:
@@ -636,13 +635,9 @@ class BDDManager:
             step[0::2] ^= 1
             step[0] = (self.FALSE, self.FALSE)
             step[1] = (self.TRUE, self.TRUE)
-            cache = [self._np_version, np.repeat(var, 2), step.reshape(-1), None]
+            cache = (self._np_version, np.repeat(var, 2), step.reshape(-1))
             self._np_cache = cache
-        if not as_lists:
-            return cache[1], cache[2]
-        if cache[3] is None:
-            cache[3] = (cache[1].tolist(), cache[2].tolist())
-        return cache[3]
+        return cache[1], cache[2]
 
     def contains_batch(self, f, patterns: "np.ndarray") -> "np.ndarray":
         """Membership queries for a whole ``(N, num_vars)`` pattern matrix.
@@ -650,10 +645,9 @@ class BDDManager:
         ``f`` is one root for every row, or an int vector holding one
         root per row (the grouped query of a per-class monitor: each row
         walks its own class's zone).  Below :data:`SCALAR_WALK_ROWS` rows
-        each row walks in Python, one table lookup per level; larger
-        batches advance every row one hop per level with three numpy
-        gathers, so the per-row cost is numpy work instead of a Python
-        loop.
+        each row takes the :meth:`contains` walk; larger batches advance
+        every row one hop per level with three numpy gathers, so the
+        per-row cost is numpy work instead of a Python loop.
         """
         patterns = np.atleast_2d(np.asarray(patterns))
         if patterns.shape[1] != self.num_vars:
@@ -670,16 +664,16 @@ class BDDManager:
                     f"got {roots.shape} roots for {n} pattern rows"
                 )
         if n < SCALAR_WALK_ROWS:
-            var_of, step = self._walk_tables(as_lists=True)
-            ends = []
-            for ref, row in zip(roots.tolist(), (patterns != 0).tolist()):
-                while ref > 1:
-                    ref = step[2 * ref + row[var_of[ref]]]
-                ends.append(ref)
-            return np.array(ends, dtype=np.int64) == self.TRUE
+            return np.array(
+                [self.contains(ref, row)
+                 for ref, row in zip(roots.tolist(), patterns.tolist())],
+                dtype=bool,
+            )
         var_of, step = self._walk_tables()
         width = self.num_vars + 1
-        bits = np.zeros((n, width), dtype=np.int64)
+        # 0/1 bits plus a padding column for the terminals; the gathered
+        # bit promotes to int64 when added to the ref vector.
+        bits = np.zeros((n, width), dtype=np.uint8)
         bits[:, : self.num_vars] = patterns != 0
         bits = bits.reshape(-1)
         row_base = np.arange(n, dtype=np.int64) * width

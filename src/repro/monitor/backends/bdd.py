@@ -313,18 +313,6 @@ class BDDZoneBackend(ZoneBackend):
     # ------------------------------------------------------------------
     # grouped queries: one walk for a batch spanning many classes
     # ------------------------------------------------------------------
-    @staticmethod
-    def _shared_manager(zones: Mapping[int, "ComfortZone"]) -> Optional[BDDManager]:
-        """The manager every zone's BDD backend shares, else ``None``."""
-        backends = [zone.backend for zone in zones.values()]
-        first = backends[0] if backends else None
-        if not isinstance(first, BDDZoneBackend):
-            return None
-        for backend in backends:
-            if not isinstance(backend, BDDZoneBackend) or backend.manager is not first.manager:
-                return None
-        return first.manager
-
     @classmethod
     def contains_grouped(
         cls,
@@ -334,9 +322,8 @@ class BDDZoneBackend(ZoneBackend):
     ) -> np.ndarray:
         """One walk for the whole batch, each row rooted at its class's
         ``Z^γ`` (``TRUE`` for a class without a zone)."""
-        manager = cls._shared_manager(zones)
-        if manager is None:
-            return super().contains_grouped(zones, patterns, classes)
+        # A BDD monitor builds every zone on its one manager.
+        manager = next(iter(zones.values())).backend.manager
         labels = np.asarray(classes).tolist()
         members = {c: zones.get(c) for c in set(labels)}
         # Expand first: each zone_ref call is a GC safe point that may
@@ -362,9 +349,7 @@ class BDDZoneBackend(ZoneBackend):
     ) -> np.ndarray:
         """The γ-sweep of :meth:`min_distances` run once over the rows of
         every class: one walk per γ with one root per row."""
-        manager = cls._shared_manager(zones)
-        if manager is None:
-            return super().min_distances_grouped(zones, patterns, classes, cap=cap)
+        manager = next(iter(zones.values())).backend.manager
         present, inverse = np.unique(np.asarray(classes), return_inverse=True)
         inverse = inverse.reshape(-1)
         groups = [

@@ -12,7 +12,10 @@ safe global order is ``DriftResponder._lock`` before
 * method calls made while a lock is held add edges to every lock the
   callee (transitively) acquires, resolved through ``self``-attribute
   types (``self.staging = StagingZone(...)`` makes ``self.staging.drain()``
-  resolve into :class:`StagingZone`).
+  resolve into :class:`StagingZone`);
+* a subclass inherits its analysed bases' locks, attribute types and
+  methods, and each inherited method is walked again in the subclass's
+  context, where ``self.hook()`` resolves to the subclass's override.
 
 A cycle in the resulting graph is a potential deadlock; the
 ``lock-discipline`` rule fails on it, and the runtime checker
@@ -49,6 +52,8 @@ class Edge:
 @dataclass
 class _MethodInfo:
     node: ast.AST
+    #: file the method is defined in (an inherited method keeps its own).
+    path: str = ""
     #: lock ids taken by a ``with`` directly in this method's body.
     direct: Set[str] = field(default_factory=set)
     #: transitive closure (filled by :func:`_close_over_calls`).
@@ -63,6 +68,7 @@ class _ClassInfo:
     #: attr name -> class name for ``self.<attr> = SomeClass(...)``.
     attr_types: Dict[str, str] = field(default_factory=dict)
     methods: Dict[str, _MethodInfo] = field(default_factory=dict)
+    bases: List[str] = field(default_factory=list)
 
 
 class LockGraph:
@@ -167,15 +173,20 @@ class _Analysis:
         return None
 
 
-def _collect_classes(analysis: _Analysis, tree: ast.Module) -> List[_ClassInfo]:
+def _collect_classes(
+    analysis: _Analysis, tree: ast.Module, path: str = ""
+) -> List[_ClassInfo]:
     collected: List[_ClassInfo] = []
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
         info = _ClassInfo(node.name)
+        info.bases = [
+            name for name in map(_call_terminal, node.bases) if name is not None
+        ]
         for method in node.body:
             if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[method.name] = _MethodInfo(method)
+                info.methods[method.name] = _MethodInfo(method, path)
                 for stmt in ast.walk(method):
                     if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
                         continue
@@ -202,6 +213,32 @@ def _collect_classes(analysis: _Analysis, tree: ast.Module) -> List[_ClassInfo]:
             analysis.lock_attr_owners.setdefault(attr, set()).add(info.name)
         collected.append(info)
     return collected
+
+
+def _inherit(analysis: _Analysis) -> None:
+    """Copy each analysed base's locks, attribute types and methods into
+    its subclasses (own definitions win; bases resolved first)."""
+    done: Set[str] = set()
+
+    def resolve(cls: _ClassInfo) -> None:
+        if cls.name in done:
+            return
+        done.add(cls.name)
+        for base_name in cls.bases:
+            base = analysis.classes.get(base_name)
+            if base is None:
+                continue
+            resolve(base)
+            for attr, lock_id in base.locks.items():
+                cls.locks.setdefault(attr, lock_id)
+            for attr, type_name in base.attr_types.items():
+                cls.attr_types.setdefault(attr, type_name)
+            for name, method in base.methods.items():
+                if name not in cls.methods:
+                    cls.methods[name] = _MethodInfo(method.node, method.path)
+
+    for cls in list(analysis.classes.values()):
+        resolve(cls)
 
 
 def _lock_id_of_expr(
@@ -349,15 +386,16 @@ def build_graph(modules: Sequence[Tuple[str, ast.Module]]) -> LockGraph:
     analysis = _Analysis()
     per_module: List[Tuple[str, List[_ClassInfo]]] = []
     for path, tree in modules:
-        per_module.append((path, _collect_classes(analysis, tree)))
+        per_module.append((path, _collect_classes(analysis, tree, path)))
+    _inherit(analysis)
     _close_over_calls(analysis)
     graph = LockGraph()
     for cls in analysis.classes.values():
         graph.nodes.update(cls.locks.values())
-    for path, classes in per_module:
+    for _path, classes in per_module:
         for cls in classes:
             for method in cls.methods.values():
-                walker = _EdgeWalker(analysis, cls, path, graph)
+                walker = _EdgeWalker(analysis, cls, method.path, graph)
                 walker.walk(getattr(method.node, "body", []))
     return graph
 

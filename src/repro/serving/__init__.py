@@ -14,23 +14,23 @@ this package turns one monitor into a serving fleet:
   distances.  Batches execute on a pluggable executor: inline on the
   loop, a shared thread pool, the multiprocess shard pool, or the TCP
   shard cluster;
-* :mod:`repro.serving.procpool` — :class:`ProcessShardPool`,
-  shared-nothing worker *processes* rehydrating the shards from
-  portable visited-pattern payloads, with warm-up handshake, graceful
-  drain, shortest-queue block dispatch, and crash detection with
-  automatic respawn and in-flight block requeue;
-* :mod:`repro.serving.shmring` — preallocated shared-memory
-  request/response rings that carry the packed row blocks and results
-  zero-copy between parent and workers (pipes demoted to a control
-  plane; pickled-pipe fallback per oversized block);
-* :mod:`repro.serving.netproto` — the length-prefixed frame codec that
-  carries the same control tuples over TCP sockets;
+* :mod:`repro.serving.fleet` — the one shard-fleet core both
+  multi-process executors run on: the worker loop
+  (:func:`~repro.serving.fleet.serve_shards`) that rehydrates shards
+  from portable visited-pattern payloads, and the coordinator with
+  shortest-queue block dispatch, one death handler (drain, requeue,
+  respawn or re-place) and fleet-atomic zone swaps;
+* :mod:`repro.serving.procpool` — :class:`ProcessShardPool`, the fleet
+  as local worker *processes* over pipes, with row blocks carried
+  zero-copy by :mod:`repro.serving.shmring` (preallocated
+  shared-memory request/response rings; pickled-pipe fallback per
+  oversized block);
 * :mod:`repro.serving.cluster` — :class:`ClusterCoordinator` +
-  :func:`run_worker`, the cross-host generalisation of the process
-  pool: workers register over a listen socket, shards are placed with
-  per-shard replica sets, heartbeats detect dead connections, and a
-  dropped worker either reconnects or has its shards re-placed on the
-  survivors with unanswered blocks requeued.
+  :func:`run_worker`, the fleet over TCP so it can span hosts: workers
+  register over a listen socket, shards are placed with per-shard
+  replica sets, heartbeats detect dead connections, and a dropped
+  worker either reconnects or has its shards re-placed on the
+  survivors; :mod:`repro.serving.netproto` frames the control tuples.
 
 See the serving sections of ``monitor/backends/README.md`` for the
 sharding, process execution and TCP cluster models and tuning knobs,
@@ -47,7 +47,7 @@ from repro.serving.server import (
     run_stream,
 )
 from repro.serving.procpool import ProcessShardPool, WorkerCrashError
-from repro.serving.cluster import ClusterCoordinator, RemoteWorkerClient, run_worker
+from repro.serving.cluster import ClusterCoordinator, run_worker
 from repro.serving.netproto import ConnectionClosed, ProtocolError
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "ProcessShardPool",
     "WorkerCrashError",
     "ClusterCoordinator",
-    "RemoteWorkerClient",
     "run_worker",
     "ConnectionClosed",
     "ProtocolError",

@@ -1,13 +1,10 @@
 """Length-prefixed frame codec for the TCP shard cluster.
 
-The cluster (:mod:`repro.serving.cluster`) lifts the process pool's
-host-portable worker protocol onto real sockets.  The *messages* are
-unchanged — the same control tuples :mod:`repro.serving.procpool`
-ships over ``multiprocessing`` pipes (``("req", req_id, shard_id, mode,
-payload, rows, width, classes, cap)`` requests, ``("ok"|"err", req_id,
-result)`` replies, the ``init``/``gamma``/``zone``/``stop`` control
-plane) — so this module only supplies what a pipe gave for free:
-message *framing*.
+The cluster (:mod:`repro.serving.cluster`) carries the fleet's control
+tuples (:mod:`repro.serving.fleet` lists them) over real sockets.  The
+*messages* are the ones the process pool ships over ``multiprocessing``
+pipes, so this module only supplies what a pipe gave for free: message
+*framing*.
 
 **Frame format.**  One frame is::
 
@@ -24,20 +21,17 @@ frames one byte at a time) and detect truncation: EOF *between* frames
 is a clean close (:class:`ConnectionClosed`), EOF *inside* a frame is a
 torn connection (:class:`ProtocolError`).
 
-Two transports speak the format:
-
-* :func:`read_frame` / :func:`write_frame` — asyncio streams, used by
-  the coordinator (many connections, one loop);
-* :class:`FrameConnection` — a blocking socket wrapper with the
-  ``send``/``recv`` surface of a ``multiprocessing`` pipe end, used by
-  the worker side (one connection, sequential serve loop — the same
-  shape as ``procpool._worker_main``).
+:class:`FrameConnection` is the one transport that speaks the format: a
+blocking socket wrapper with the ``send``/``recv`` surface of a
+``multiprocessing`` pipe end, so both sides of the cluster — the
+worker loop and the coordinator's per-worker reader thread — use it
+exactly like a pipe.
 """
 
 from __future__ import annotations
 
-import asyncio
 import pickle
+import socket
 import struct
 
 #: 4-byte big-endian unsigned payload length.
@@ -84,44 +78,12 @@ def decode_length(header: bytes) -> int:
     return length
 
 
-async def read_frame(reader: "asyncio.StreamReader"):
-    """Read one complete frame from an asyncio stream and unpickle it.
-
-    Reassembles the frame from however many TCP segments it arrives in.
-    Raises :class:`ConnectionClosed` on EOF at a frame boundary and
-    :class:`ProtocolError` on EOF inside a frame.
-    """
-    try:
-        header = await reader.readexactly(HEADER_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
-            raise ProtocolError(
-                "connection closed inside a frame header"
-            ) from exc
-        raise ConnectionClosed("peer closed the connection") from exc
-    length = decode_length(header)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed {len(exc.partial)}/{length} bytes into "
-            "a frame payload"
-        ) from exc
-    return pickle.loads(payload)
-
-
-def write_frame(writer: "asyncio.StreamWriter", message) -> None:
-    """Buffer one frame on an asyncio stream (caller awaits ``drain``)."""
-    writer.write(encode_frame(message))
-
-
 class FrameConnection:
     """Blocking-socket frame transport with a pipe-shaped surface.
 
-    Gives the worker side the exact ``send(obj)`` / ``recv() -> obj``
-    interface of a ``multiprocessing`` pipe end, so the worker serve
-    loop is line-for-line the pipe worker's loop with a different
-    transport underneath.
+    Gives the exact ``send(obj)`` / ``recv() -> obj`` interface of a
+    ``multiprocessing`` pipe end, so the fleet's worker loop and reader
+    run unchanged over a socket.
     """
 
     __slots__ = ("_sock",)
@@ -134,26 +96,36 @@ class FrameConnection:
         self._sock.sendall(encode_frame(message))
 
     def recv(self):
-        """Block until one complete frame arrives; return it unpickled."""
-        header = self._recv_exact(HEADER_BYTES, frame_boundary=True)
-        return pickle.loads(self._recv_exact(decode_length(header)))
+        """Block until one complete frame arrives; return it unpickled.
 
-    def _recv_exact(self, count: int, frame_boundary: bool = False) -> bytes:
+        Raises :class:`ConnectionClosed` on EOF at a frame boundary and
+        :class:`ProtocolError` on EOF inside a frame.
+        """
+        header = self._recv_exact(HEADER_BYTES, "header")
+        return pickle.loads(self._recv_exact(decode_length(header), "payload"))
+
+    def _recv_exact(self, count: int, part: str) -> bytes:
         chunks = []
         got = 0
         while got < count:
             chunk = self._sock.recv(min(_RECV_CHUNK, count - got))
             if not chunk:
-                if frame_boundary and got == 0:
+                if part == "header" and got == 0:
                     raise ConnectionClosed("peer closed the connection")
                 raise ProtocolError(
-                    f"connection closed {got}/{count} bytes into a frame"
+                    f"connection closed {got}/{count} bytes into a frame {part}"
                 )
             chunks.append(chunk)
             got += len(chunk)
         return b"".join(chunks)
 
     def close(self) -> None:
+        """Close the socket; a thread blocked in :meth:`recv` on it
+        wakes with EOF (the shutdown does that — a bare close does not)."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

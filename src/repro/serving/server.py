@@ -198,7 +198,7 @@ class StreamServer:
           ``pool_transport="pipe"`` (crashed workers respawn with
           in-flight blocks requeued and ring slots reclaimed);
         * ``"cluster"`` — a :class:`~repro.serving.cluster.ClusterCoordinator`:
-          the same block protocol over asyncio TCP, so workers can live
+          the same block protocol over framed TCP, so workers can live
           on other hosts (``cluster_address`` binds the listen socket
           external ``python -m repro serve-worker`` processes dial;
           ``None`` self-hosts ``workers`` local processes on loopback).
@@ -218,11 +218,9 @@ class StreamServer:
     pool_context:
         ``multiprocessing`` start method for the process pool (default:
         fork where available, else spawn).
-    pool_transport / pool_dispatch:
+    pool_transport:
         Forwarded to :class:`ProcessShardPool` — block transport
-        (``"shm"``/``"pipe"``, default shm unless ``REPRO_SERVING_SHM=0``)
-        and block dispatch (``"balance"``/``"owner"``, default shortest
-        outstanding-queue balance).
+        (``"shm"``/``"pipe"``, default shm).
     cluster_heartbeat_interval / cluster_heartbeat_timeout:
         Forwarded to :class:`~repro.serving.cluster.ClusterCoordinator`
         (``executor="cluster"``): liveness ping cadence and the silence
@@ -247,7 +245,6 @@ class StreamServer:
         workers: int = 2,
         pool_context: Optional[str] = None,
         pool_transport: Optional[str] = None,
-        pool_dispatch: Optional[str] = None,
         cluster_address: Optional[str] = None,
         cluster_heartbeat_interval: Optional[float] = None,
         cluster_heartbeat_timeout: Optional[float] = None,
@@ -301,7 +298,6 @@ class StreamServer:
         self.workers = workers
         self.pool_context = pool_context
         self.pool_transport = pool_transport
-        self.pool_dispatch = pool_dispatch
         self.cluster_address = cluster_address
         self.cluster_heartbeat_interval = cluster_heartbeat_interval
         self.cluster_heartbeat_timeout = cluster_heartbeat_timeout
@@ -347,46 +343,36 @@ class StreamServer:
                 self._executor = ThreadPoolExecutor(
                     max_workers=threads, thread_name_prefix="repro-serving"
                 )
-        elif self.executor_mode == "process":
+        elif self.executor_mode in ("process", "cluster"):
+            from repro.serving.cluster import ClusterCoordinator
             from repro.serving.procpool import ProcessShardPool
 
             def _build_and_start():
-                pool = ProcessShardPool(
-                    self.router.shards,
-                    num_workers=self.workers,
-                    context=self.pool_context,
-                    transport=self.pool_transport,
-                    dispatch=self.pool_dispatch,
-                )
-                pool.start()  # blocks until every worker is rehydrated
-                return pool
+                if self.executor_mode == "process":
+                    fleet = ProcessShardPool(
+                        self.router.shards,
+                        num_workers=self.workers,
+                        context=self.pool_context,
+                        transport=self.pool_transport,
+                    )
+                else:
+                    fleet = ClusterCoordinator(
+                        self.router.shards,
+                        listen=self.cluster_address,
+                        workers=self.workers,
+                        context=self.pool_context,
+                        heartbeat_interval=self.cluster_heartbeat_interval,
+                        heartbeat_timeout=self.cluster_heartbeat_timeout,
+                    )
+                fleet.start()  # blocks until every worker is rehydrated
+                return fleet
 
-            # Payload packing + spawn + per-worker warm-up handshakes can
-            # take seconds for large zones; on an already-busy loop that
-            # must not freeze every other coroutine.
+            # Payload packing, spawning (or waiting for remote
+            # registrations) and the per-worker init handshakes can take
+            # seconds for large zones; on an already-busy loop that must
+            # not freeze every other coroutine.
             self._pool = await asyncio.get_running_loop().run_in_executor(
                 None, _build_and_start
-            )
-        elif self.executor_mode == "cluster":
-            from repro.serving.cluster import ClusterCoordinator
-
-            def _build_and_start_cluster():
-                coordinator = ClusterCoordinator(
-                    self.router.shards,
-                    listen=self.cluster_address,
-                    workers=self.workers,
-                    context=self.pool_context,
-                    heartbeat_interval=self.cluster_heartbeat_interval,
-                    heartbeat_timeout=self.cluster_heartbeat_timeout,
-                )
-                coordinator.start()  # blocks until the fleet registered
-                return coordinator
-
-            # Same off-loop rule as the process pool: binding, spawning
-            # (or waiting for remote registrations) and the per-worker
-            # init handshakes must not park the event loop.
-            self._pool = await asyncio.get_running_loop().run_in_executor(
-                None, _build_and_start_cluster
             )
         for shard in self.router.shards:
             queue: "asyncio.Queue[Optional[_CheckRequest]]" = asyncio.Queue(
@@ -878,7 +864,6 @@ def run_stream(
     workers: int = 2,
     pool_context: Optional[str] = None,
     pool_transport: Optional[str] = None,
-    pool_dispatch: Optional[str] = None,
     cluster_address: Optional[str] = None,
     submit: str = "bulk",
 ) -> StreamResult:
@@ -916,7 +901,6 @@ def run_stream(
             workers=workers,
             pool_context=pool_context,
             pool_transport=pool_transport,
-            pool_dispatch=pool_dispatch,
             cluster_address=cluster_address,
         )
         async with server:

@@ -9,13 +9,19 @@ catches it — the race-detector contract the CI lockcheck job relies on.
 
 from __future__ import annotations
 
+import ast
+import textwrap
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.devtools.lint.lockgraph import build_graph_for_paths, find_cycle
+from repro.devtools.lint.lockgraph import (
+    build_graph,
+    build_graph_for_paths,
+    find_cycle,
+)
 from repro.devtools.lint.runtime import (
     LockOrderRecorder,
     LockOrderViolation,
@@ -158,8 +164,8 @@ class TestStaticGraph:
         assert {
             "DriftResponder._lock",
             "StagingZone._lock",
-            "ProcessShardPool._lock",
-            "_WorkerHandle.send_lock",
+            "ShardFleet._lock",
+            "WorkerHandle.send_lock",
             "DistributionShiftDetector._lock",
             "DistanceShiftDetector._lock",
         } <= graph.nodes
@@ -172,17 +178,52 @@ class TestStaticGraph:
         assert ("DriftResponder._lock", "StagingZone._lock") in graph.edge_set()
 
     def test_pool_never_sends_under_its_own_lock(self):
-        # procpool's discipline: _lock is released before send_lock is
-        # taken (snapshot targets are collected under _lock, sent after).
+        # The fleet core's discipline: _lock is released before send_lock
+        # is taken (snapshot targets are collected under _lock, sent after).
         graph = build_graph_for_paths(GRAPH_PATHS)
         assert (
-            "ProcessShardPool._lock",
-            "_WorkerHandle.send_lock",
+            "ShardFleet._lock",
+            "WorkerHandle.send_lock",
         ) not in graph.edge_set()
         assert (
-            "_WorkerHandle.send_lock",
-            "ProcessShardPool._lock",
+            "WorkerHandle.send_lock",
+            "ShardFleet._lock",
         ) not in graph.edge_set()
+
+    def test_subclass_walks_inherited_methods_with_its_hooks(self):
+        # The serving executors subclass the fleet core: a base method
+        # that calls a hook under the base's lock must pick up the locks
+        # the subclass's override takes.
+        source = textwrap.dedent('''
+            class Base:
+                def __init__(self):
+                    self._lock = named_lock("Base._lock")
+
+                def run(self):
+                    with self._lock:
+                        self.hook()
+
+                def hook(self):
+                    pass
+
+            class Inner:
+                def __init__(self):
+                    self._lock = named_lock("Inner._lock")
+
+                def go(self):
+                    with self._lock:
+                        pass
+
+            class Sub(Base):
+                def __init__(self):
+                    self.inner = Inner()
+
+                def hook(self):
+                    self.inner.go()
+        ''')
+        graph = build_graph([("m.py", ast.parse(source))])
+        assert ("Base._lock", "Inner._lock") in graph.edge_set()
+        assert "Base._lock" in graph.nodes
 
     def test_find_cycle_on_known_cycle(self):
         cycle = find_cycle({("a", "b"), ("b", "c"), ("c", "a")})

@@ -29,7 +29,6 @@ import pytest
 from repro.monitor import NeuronActivationMonitor, ZoneSnapshot, partition_payloads
 from repro.serving import (
     ClusterCoordinator,
-    MonitorShard,
     ShardRouter,
     StreamServer,
     WorkerCrashError,
@@ -38,6 +37,7 @@ from repro.serving import (
 from repro.serving import netproto
 from repro.serving import cluster as cluster_mod
 from repro.serving.cluster import parse_address, run_worker
+from repro.serving.fleet import serve_shards
 
 WIDTH = 16
 #: Monitored classes; EMPTY_CLASS has a zone but never receives patterns.
@@ -87,23 +87,6 @@ class TestNetproto:
         with pytest.raises(netproto.ProtocolError, match="ceiling"):
             netproto.decode_length(header)
 
-    def test_write_frame_rejects_oversized_payload_before_sending(
-        self, monkeypatch
-    ):
-        # The ceiling is enforced on the *write* side too: an oversized
-        # message raises before a single byte reaches the stream, so the
-        # peer never sees a torn or half-framed write.
-        monkeypatch.setattr(netproto, "MAX_FRAME_BYTES", 64)
-        written = []
-
-        class _Writer:
-            def write(self, data):
-                written.append(data)
-
-        with pytest.raises(netproto.ProtocolError, match="ceiling"):
-            netproto.write_frame(_Writer(), ("req", b"\x00" * 4096))
-        assert written == []
-
     def test_blocking_send_rejects_oversized_payload_before_sending(
         self, monkeypatch
     ):
@@ -130,41 +113,56 @@ class TestNetproto:
         with pytest.raises(netproto.ProtocolError, match="ceiling"):
             netproto.encode_frame(("x", "one byte longer"))
 
-    def test_read_frame_reassembles_one_byte_fragments(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            frame = netproto.encode_frame(("ping", 123))
-            task = asyncio.ensure_future(netproto.read_frame(reader))
-            for i in range(len(frame)):
-                reader.feed_data(frame[i : i + 1])
-                await asyncio.sleep(0)
-            return await task
+    def test_recv_reassembles_one_byte_fragments(self):
+        left, right = socket.socketpair()
+        reader = netproto.FrameConnection(right)
+        frame = netproto.encode_frame(("ping", 123))
 
-        assert asyncio.run(scenario()) == ("ping", 123)
+        def dribble():
+            for i in range(len(frame)):
+                left.sendall(frame[i : i + 1])
+                time.sleep(0.001)
+
+        writer = threading.Thread(target=dribble)
+        writer.start()
+        try:
+            assert reader.recv() == ("ping", 123)
+        finally:
+            writer.join(timeout=30)
+            left.close()
+            reader.close()
 
     def test_eof_between_frames_is_a_clean_close(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(netproto.encode_frame(("pong", 1)))
-            reader.feed_eof()
-            first = await netproto.read_frame(reader)
+        left, right = socket.socketpair()
+        reader = netproto.FrameConnection(right)
+        try:
+            left.sendall(netproto.encode_frame(("pong", 1)))
+            left.close()
+            assert reader.recv() == ("pong", 1)
             with pytest.raises(netproto.ConnectionClosed):
-                await netproto.read_frame(reader)
-            return first
-
-        assert asyncio.run(scenario()) == ("pong", 1)
+                reader.recv()
+        finally:
+            left.close()
+            reader.close()
 
     def test_eof_inside_a_frame_is_a_protocol_error(self):
-        async def truncated(cut):
-            reader = asyncio.StreamReader()
-            reader.feed_data(netproto.encode_frame(("req", list(range(64))))[:cut])
-            reader.feed_eof()
-            await netproto.read_frame(reader)
+        def truncated(cut):
+            left, right = socket.socketpair()
+            reader = netproto.FrameConnection(right)
+            try:
+                left.sendall(
+                    netproto.encode_frame(("req", list(range(64))))[:cut]
+                )
+                left.close()
+                reader.recv()
+            finally:
+                left.close()
+                reader.close()
 
         with pytest.raises(netproto.ProtocolError, match="header"):
-            asyncio.run(truncated(2))  # torn inside the length prefix
+            truncated(2)  # torn inside the length prefix
         with pytest.raises(netproto.ProtocolError, match="payload"):
-            asyncio.run(truncated(10))  # torn inside the payload
+            truncated(10)  # torn inside the payload
         # ConnectionClosed subclasses ProtocolError: one except arm
         # handles both on the read loops.
         assert issubclass(netproto.ConnectionClosed, netproto.ProtocolError)
@@ -391,9 +389,9 @@ class TestFaults:
         want = oracle.check(patterns, classes)
         with ClusterCoordinator(router.shards, workers=2,
                                 ready_timeout=60) as cluster:
-            spawn = cluster._spawn_process
+            spawn = cluster._replace
             deferred = []
-            cluster._spawn_process = deferred.append
+            cluster._replace = deferred.append
             name = cluster.worker_names()[0]
             assert cluster.drop_connection(name)
             assert deferred == [name]
@@ -404,8 +402,8 @@ class TestFaults:
             row = {r["worker"]: r for r in cluster.stats()}[name]
             assert (row["crashes"], row["respawns"]) == (1, 0)
 
-            cluster._spawn_process = spawn
-            cluster._loop.call_soon_threadsafe(spawn, name)
+            cluster._replace = spawn
+            spawn(name)
             deadline = time.monotonic() + 30
             while name not in cluster.worker_names():
                 assert time.monotonic() < deadline, "worker never came back"
@@ -424,7 +422,7 @@ class TestFaults:
                                 max_respawns=0, ready_timeout=60) as cluster:
             shard_counts = sorted(
                 len(w.shard_ids)
-                for w in cluster._workers_by_name.values()
+                for w in cluster._workers.values()
             )
             assert sum(shard_counts) == 3  # replicas=1: disjoint placement
             os.kill(cluster.worker_pids()[0], signal.SIGKILL)
@@ -433,7 +431,7 @@ class TestFaults:
             np.testing.assert_array_equal(cluster.check(patterns, classes), want)
             survivor_shards = [
                 len(w.shard_ids)
-                for w in cluster._workers_by_name.values()
+                for w in cluster._workers.values()
                 if not w.dead
             ]
             assert survivor_shards == [3]
@@ -456,7 +454,6 @@ class TestFaults:
         patterns, classes = _queries(n=60)
         want = oracle.check(patterns, classes)
         port = _free_port()
-        stop_flag = threading.Event()
 
         def dribbling_worker():
             deadline = time.monotonic() + 30
@@ -468,38 +465,18 @@ class TestFaults:
                     time.sleep(0.05)
             else:
                 return
-            conn = netproto.FrameConnection(sock)
 
-            def dribble(message):
-                frame = netproto.encode_frame(message)
-                for i in range(len(frame)):
-                    sock.sendall(frame[i : i + 1])
+            class DribblingConnection(netproto.FrameConnection):
+                def send(self, message):
+                    frame = netproto.encode_frame(message)
+                    for i in range(len(frame)):
+                        sock.sendall(frame[i : i + 1])
 
-            dribble(("register", "dribbler", os.getpid()))
-            shards = {}
+            # The real worker loop, every reply dribbled out byte-wise.
+            conn = DribblingConnection(sock)
+            conn.send(("register", "dribbler", os.getpid()))
             try:
-                while not stop_flag.is_set():
-                    msg = conn.recv()
-                    kind = msg[0]
-                    if kind == "init" or kind == "zone":
-                        shards = {
-                            p["shard_id"]: MonitorShard.from_payload(p)
-                            for p in msg[1]
-                        }
-                        dribble(("ready", len(shards)) if kind == "init"
-                                else ("zone_ok", msg[3]))
-                    elif kind == "req":
-                        from repro.serving.cluster import _answer_block
-                        dribble(_answer_block(shards, msg))
-                    elif kind == "ping":
-                        dribble(("pong", msg[1]))
-                    elif kind == "gamma":
-                        dribble(("gamma_ok", msg[2]))
-                    elif kind == "stop":
-                        dribble(("bye",))
-                        return
-            except netproto.ProtocolError:
-                return
+                serve_shards(conn)
             finally:
                 conn.close()
 
@@ -517,7 +494,6 @@ class TestFaults:
                 oracle.min_distances(patterns, classes),
             )
         finally:
-            stop_flag.set()
             cluster.stop()
             thread.join(timeout=30)
 

@@ -295,24 +295,20 @@ class TestFaultInjection:
             assert len(pool.worker_pids()) == 2
 
     def test_respawn_budget_exhaustion_raises(self):
-        # Owner dispatch: a shard's home slot is its only server, so
-        # burning that slot's budget fails the shard's submissions.
+        # Every worker holds every shard, so a shard only becomes
+        # unservable once every slot has burned its budget.
         monitor = _build_monitor()
         router = ShardRouter.partition(monitor, 2)
-        pool = ProcessShardPool(
-            router.shards, num_workers=2, max_respawns=0, dispatch="owner"
-        )
+        pool = ProcessShardPool(router.shards, num_workers=2, max_respawns=0)
         pool.start()
         try:
-            dead_slot = 0
-            os.kill(pool.worker_pids()[dead_slot], signal.SIGKILL)
-            deadline = time.monotonic() + 30
-            while pool.total_crashes == 0 and time.monotonic() < deadline:
-                time.sleep(0.02)
-            shard_id = next(
-                sid for sid, slot in pool._worker_of.items() if slot == dead_slot
-            )
-            owned_class = router._shard_by_id[shard_id].classes[0]
+            for crashes in (1, 2):
+                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while pool.total_crashes < crashes and time.monotonic() < deadline:
+                    time.sleep(0.02)
+            shard_id = router.shards[0].shard_id
+            owned_class = router.shards[0].classes[0]
             patterns, _ = _queries(n=4)
             with pytest.raises(WorkerCrashError):
                 pool.submit(shard_id, patterns, np.full(4, owned_class))
@@ -326,9 +322,7 @@ class TestFaultInjection:
         monitor = _build_monitor()
         router = ShardRouter.partition(monitor, 2)
         patterns, classes = _queries(n=80, extra_classes=0)
-        pool = ProcessShardPool(
-            router.shards, num_workers=2, max_respawns=0, dispatch="balance"
-        )
+        pool = ProcessShardPool(router.shards, num_workers=2, max_respawns=0)
         pool.start()
         try:
             victim = pool.worker_pids()[0]
@@ -405,22 +399,22 @@ class TestFaultInjection:
     def test_respawn_counted_only_once_replacement_is_published(self):
         """While a replacement is still being spawned, the death is
         already a crash but not yet a respawn, and the survivor serves.
-        The gate on ``_spawn`` holds that window open for as long as the
-        test needs it, independent of scheduling."""
+        The gate on ``_replace`` holds that window open for as long as
+        the test needs it, independent of scheduling."""
         monitor = _build_monitor()
         router = ShardRouter.partition(monitor, 2)
         patterns, classes = _queries(n=50, extra_classes=0)
         entered = threading.Event()
         release = threading.Event()
         with ProcessShardPool(router.shards, num_workers=2) as pool:
-            spawn = pool._spawn
+            spawn = pool._replace
 
             def gated_spawn(index):
                 entered.set()
                 release.wait(timeout=60)
                 return spawn(index)
 
-            pool._spawn = gated_spawn
+            pool._replace = gated_spawn
             try:
                 victim = pool.worker_pids()[0]
                 os.kill(victim, signal.SIGKILL)

@@ -19,6 +19,7 @@ wrong and are proven not to here:
 
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -182,6 +183,53 @@ class TestShmEquivalence:
             assert pool.total_ring_blocks + pool.total_pipe_blocks == len(futures)
             _assert_rings_fully_free(pool)
 
+    def test_concurrent_submitters_count_every_block_once(self):
+        """More submitting threads than cores on a two-slot ring, with a
+        tiny switch interval: the per-worker ring/pipe block counters and
+        the served-row counters are read-modify-writes shared by every
+        submitter, so a lost update would break the totals."""
+        monitor = _build_monitor()
+        router = ShardRouter.partition(monitor, 2)
+        patterns, classes = _queries(n=400)
+        expected = monitor.check(patterns, classes)
+        routed = [
+            (shard_id, rows[start : start + 5])
+            for shard_id, rows in router.route(classes).items()
+            for start in range(0, len(rows), 5)
+        ]
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ProcessShardPool(
+                router.shards, num_workers=2, transport="shm", ring_slots=2
+            ) as pool:
+
+                def submitter(offset):
+                    for shard_id, piece in routed[offset::8]:
+                        future = pool.submit(shard_id, patterns[piece], classes[piece])
+                        results.append((piece, future))
+
+                threads = [
+                    threading.Thread(target=submitter, args=(k,)) for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for piece, future in results:
+                    verdicts, _ = future.result(timeout=60)
+                    np.testing.assert_array_equal(verdicts, expected[piece])
+                assert len(results) == len(routed)
+                assert pool.total_ring_blocks + pool.total_pipe_blocks == len(routed)
+                stats = pool.stats()
+                assert sum(row["batches"] for row in stats) == len(routed)
+                assert sum(row["requests"] for row in stats) == len(patterns)
+                _assert_rings_fully_free(pool)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_answered_ring_blocks_still_count_as_ring(self):
         """Regression: the send path read ``pending.slot`` after the send,
         when the pump may already have answered the block and reset its
@@ -205,16 +253,6 @@ class TestShmEquivalence:
             assert pool.total_pipe_blocks == 0
             assert pool.total_ring_blocks == blocks
             _assert_rings_fully_free(pool)
-
-    def test_env_toggle_selects_pipe(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_SHM", "0")
-        monitor = _build_monitor()
-        router = ShardRouter.partition(monitor, 2)
-        with ProcessShardPool(router.shards, num_workers=2) as pool:
-            patterns, classes = _queries(n=40)
-            pool.check(patterns, classes)
-            assert all(row["transport"] == "pipe" for row in pool.stats())
-            assert pool.total_ring_blocks == 0
 
 
 @pytest.fixture(scope="module")
@@ -350,24 +388,26 @@ class TestSegmentLeaks:
         assert _ring_segments() <= before
 
     def test_budget_exhaustion_unlinks_the_dead_slot(self):
-        """Respawn budget burned (owner dispatch: futures fail with
-        WorkerCrashError) — the dead slot's segments are unlinked at
-        retirement, the rest at stop()."""
+        """Respawn budget burned on every slot (futures fail with
+        WorkerCrashError) — each dead slot's segments are unlinked at
+        retirement, before stop()."""
         before = _ring_segments()
         monitor = _build_monitor()
         router = ShardRouter.partition(monitor, 2)
         with ProcessShardPool(
-            router.shards, num_workers=2, max_respawns=0,
-            transport="shm", dispatch="owner",
+            router.shards, num_workers=2, max_respawns=0, transport="shm",
         ) as pool:
             patterns, classes = _queries(n=60)
             pool.check(patterns, classes)
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            with pytest.raises(WorkerCrashError):
+            for crashes in (1, 2):
+                os.kill(pool.worker_pids()[0], signal.SIGKILL)
                 deadline = time.monotonic() + 30
-                while time.monotonic() < deadline:
-                    pool.check(patterns, classes)
+                while pool.total_crashes < crashes:
+                    assert time.monotonic() < deadline, "crash never detected"
                     time.sleep(0.01)
+            with pytest.raises(WorkerCrashError):
+                pool.check(patterns, classes)
+            assert _ring_segments() <= before
         assert _ring_segments() <= before
 
 

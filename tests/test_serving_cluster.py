@@ -87,6 +87,23 @@ class TestNetproto:
         with pytest.raises(netproto.ProtocolError, match="ceiling"):
             netproto.decode_length(header)
 
+    def test_write_frame_rejects_oversized_payload_before_sending(
+        self, monkeypatch
+    ):
+        # The ceiling is enforced on the *write* side too: an oversized
+        # message raises before a single byte reaches the stream, so the
+        # peer never sees a torn or half-framed write.
+        monkeypatch.setattr(netproto, "MAX_FRAME_BYTES", 64)
+        written = []
+
+        class _Socket:
+            def sendall(self, data):
+                written.append(data)
+
+        with pytest.raises(netproto.ProtocolError, match="ceiling"):
+            netproto.FrameConnection(_Socket()).send(("req", b"\x00" * 4096))
+        assert written == []
+
     def test_blocking_send_rejects_oversized_payload_before_sending(
         self, monkeypatch
     ):

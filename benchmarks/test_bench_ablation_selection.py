@@ -9,8 +9,6 @@ the abstraction (lower warning rate at fixed γ — fewer monitored bits means
 more don't-cares).
 """
 
-import numpy as np
-
 from benchutil import record
 from repro.analysis import (
     format_table,

@@ -10,8 +10,6 @@ property itself: on the training set, the activation monitor never warns on
 a correctly classified example, while the statistical baselines do.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import build_monitor, format_table, gamma_sweep, percent
 from repro.baselines import LogitMarginDetector, MaxSoftmaxDetector

@@ -11,8 +11,7 @@ import numpy as np
 
 from benchutil import is_smoke, record
 from repro.analysis import build_monitor, format_table
-from repro.monitor import MonitoredClassifier, NeuronActivationMonitor, extract_patterns
-from repro.nn.data import stack_dataset
+from repro.monitor import MonitoredClassifier
 
 
 def test_fig1_workflow_report(mnist_system):

@@ -12,8 +12,6 @@ Also compares against the §V box-abstraction extension at equivalent
 silence levels.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import abstraction_sweep, format_table, percent
 from repro.monitor import BoxMonitor

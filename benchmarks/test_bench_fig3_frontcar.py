@@ -7,8 +7,6 @@ distribution-shift indicator — a drifted scene stream (sharper curves,
 noisier sensors) raises the windowed warning rate and trips the alarm.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import build_monitor, format_table, gamma_sweep, percent, render_table2
 from repro.datasets import generate_frontcar

@@ -7,8 +7,6 @@ warning rate should rise with severity and track the (runtime-invisible)
 misclassification rate.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import (
     build_monitor,

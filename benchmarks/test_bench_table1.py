@@ -9,8 +9,6 @@ The timed kernel is single-image inference latency — the cost a deployed
 system pays per frame before the monitor is even consulted.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import render_table1, table1_row
 from repro.nn import Tensor

@@ -13,8 +13,6 @@ The timed kernel is the runtime membership check for one batch — the cost
 the monitor adds per decision.
 """
 
-import numpy as np
-
 from benchutil import is_smoke, record
 from repro.analysis import build_monitor, gamma_sweep, render_table2
 from repro.monitor import extract_patterns

@@ -13,7 +13,7 @@ import pytest
 
 from benchutil import is_smoke, record, scaled
 from repro.analysis import format_table, percent
-from repro.datasets import GRID, MultiObjectConfig, generate_multiobject
+from repro.datasets import MultiObjectConfig, generate_multiobject
 from repro.models import build_model
 from repro.monitor import DetectionMonitor
 from repro.nn import Adam, CrossEntropyLoss, Tensor

@@ -10,8 +10,6 @@ team (paper §I).
 Run:  python examples/frontcar_monitoring.py
 """
 
-import numpy as np
-
 from repro.analysis import percent
 from repro.datasets import generate_frontcar
 from repro.datasets.frontcar import FrontCarConfig, NO_FRONT_CAR, shifted_config

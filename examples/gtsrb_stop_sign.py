@@ -12,8 +12,6 @@ Reproduces the paper's GTSRB protocol at example scale:
 Run:  python examples/gtsrb_stop_sign.py
 """
 
-import numpy as np
-
 from repro.analysis import percent, render_table2
 from repro.datasets import STOP_SIGN_CLASS, generate_gtsrb
 from repro.datasets.gtsrb import GtsrbConfig

@@ -9,8 +9,6 @@
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.analysis import percent
 from repro.datasets import corrupt, generate_mnist
 from repro.models import build_model

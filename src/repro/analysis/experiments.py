@@ -308,14 +308,11 @@ def gamma_sweep(
 ) -> List[MonitorEvaluation]:
     """Evaluate the monitor on validation data for each γ (Table II rows).
 
-    Validation patterns are extracted once; only the zone changes per γ.
-    The monitor is left at the last γ of the sweep.
+    Validation patterns are extracted once, and one distance pass capped
+    at the largest γ scores every row (:func:`repro.monitor.evaluate_sweep`).
+    The monitor's γ is left as it was.
     """
-    from repro.monitor import evaluate_patterns
+    from repro.monitor import evaluate_sweep
 
     patterns, labels, predictions = system.patterns_of("val")
-    rows = []
-    for gamma in gammas:
-        monitor.set_gamma(gamma)
-        rows.append(evaluate_patterns(monitor, patterns, predictions, labels))
-    return rows
+    return evaluate_sweep(monitor, patterns, predictions, labels, gammas)

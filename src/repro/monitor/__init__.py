@@ -39,7 +39,12 @@ from repro.monitor.selection import (
     select_top_neurons,
     weight_sensitivity,
 )
-from repro.monitor.metrics import MonitorEvaluation, evaluate_monitor, evaluate_patterns
+from repro.monitor.metrics import (
+    MonitorEvaluation,
+    evaluate_monitor,
+    evaluate_patterns,
+    evaluate_sweep,
+)
 from repro.monitor.calibration import CalibrationResult, GammaCalibrator
 from repro.monitor.runtime import MonitoredClassifier, Verdict
 from repro.monitor.shift import (
@@ -77,6 +82,7 @@ __all__ = [
     "MonitorEvaluation",
     "evaluate_monitor",
     "evaluate_patterns",
+    "evaluate_sweep",
     "GammaCalibrator",
     "CalibrationResult",
     "MonitoredClassifier",

@@ -71,10 +71,13 @@ class ZoneBackend(ABC):
         to the visited set ``Z^0``.
 
         The sentinel for an empty store is ``num_vars + 1`` (beyond any
-        achievable distance), so ``min_distances(Q) <= gamma`` is always
-        equivalent to ``contains_batch(Q, gamma)``.  Exact distances feed
-        the serving layer's distance histograms — a sharper shift signal
-        than the binary verdict stream (paper §V).
+        achievable distance), so ``min_distances(Q) <= gamma`` is
+        equivalent to ``contains_batch(Q, gamma)`` for γ ≤ ``num_vars``;
+        past that, an empty store's sentinel would pass the bare test
+        (:meth:`NeuronActivationMonitor.supported` clamps γ to the
+        width).  Exact distances feed the serving layer's distance
+        histograms — a sharper shift signal than the binary verdict
+        stream (paper §V).
 
         ``cap=k`` asks the bounded question "exact distance, or > k": the
         result must equal ``min(true_distance, k+1)`` elementwise.
@@ -82,7 +85,8 @@ class ZoneBackend(ABC):
         indexed bitset engine serves it from the γ = k pigeonhole
         shortlist instead of scanning all M rows; the BDD engine stops
         its γ-sweep at k), and ``min_distances(Q, cap=k) <= gamma`` stays
-        equivalent to ``contains_batch(Q, gamma)`` for every gamma ≤ k."""
+        equivalent to ``contains_batch(Q, gamma)`` for every
+        γ ≤ min(k, ``num_vars``)."""
 
     # ------------------------------------------------------------------
     # grouped queries (one call per monitor query)

@@ -10,7 +10,10 @@ a substantial misclassification share.
 :class:`GammaCalibrator` sweeps γ upward, records a
 :class:`~repro.monitor.metrics.MonitorEvaluation` per step (this sweep *is*
 the data behind Table II), and picks the smallest γ meeting the target
-silence, preferring larger warning precision on ties.
+silence, preferring larger warning precision on ties.  The whole sweep is
+scored from one ``min_distances`` pass capped at the largest γ
+(:func:`~repro.monitor.metrics.evaluate_sweep`): a row lies in ``Z^γ``
+exactly when its distance to ``Z^0`` is within γ.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import List
 
 import numpy as np
 
-from repro.monitor.metrics import MonitorEvaluation, evaluate_patterns
+from repro.monitor.metrics import MonitorEvaluation, evaluate_sweep
 from repro.monitor.monitor import NeuronActivationMonitor
 from repro.monitor.patterns import extract_patterns
 from repro.nn.data import Dataset, stack_dataset
@@ -85,15 +88,13 @@ class GammaCalibrator:
     ) -> CalibrationResult:
         """Sweep γ over pre-extracted validation patterns.
 
-        The monitor's γ is left at the chosen value on return.
+        The monitor's γ is set once, to the chosen value, on return.
         """
         if self.max_gamma < 0:
             raise ValueError(f"max_gamma must be non-negative, got {self.max_gamma}")
-        sweep: List[MonitorEvaluation] = []
-        for gamma in range(self.max_gamma + 1):
-            monitor.set_gamma(gamma)
-            sweep.append(evaluate_patterns(monitor, patterns, predictions, labels))
-
+        sweep = evaluate_sweep(
+            monitor, patterns, predictions, labels, range(self.max_gamma + 1)
+        )
         chosen = self.choose(sweep)
         monitor.set_gamma(chosen)
         return CalibrationResult(chosen_gamma=chosen, sweep=sweep)
@@ -128,6 +129,3 @@ class GammaCalibrator:
         # point (largest gamma), which the enlargement monotonicity makes
         # the best-effort choice.
         return sweep[-1].gamma
-
-    # Backwards-compatible alias (pre-serving-layer name).
-    _choose = choose

@@ -17,7 +17,9 @@ fleet:
    existing :meth:`GammaCalibrator.calibrate_patterns` sweep over a
    retained validation set — the same ``choose`` rule that picked the
    original radius, so the loop cannot drift away from the paper's
-   selection criterion.
+   selection criterion.  The sweep is one ``min_distances`` pass capped
+   at the largest γ; one exact pass on the candidate then yields both
+   detector baselines, so a response scans the retained set twice.
 4. **Publication.**  The result is an immutable :class:`ZoneSnapshot`
    with a monotonically increasing *zone epoch*, carrying the per-shard
    portable payloads (the exact :meth:`MonitorShard.to_payload` wire
@@ -370,10 +372,11 @@ class DriftResponder:
                 self._val_predictions,
                 self._val_labels,
             )
-            supported = candidate.check(self._val_patterns, self._val_predictions)
+            # One exact pass yields both baselines at the chosen γ.
             distances = candidate.min_distances(
                 self._val_patterns, self._val_predictions
             )
+            supported = candidate.supported(distances)
             absorbed = int(sum(len(rows) for rows in staged.values()))
             snapshot = ZoneSnapshot(
                 epoch=self.epoch + 1,

@@ -16,7 +16,7 @@ false-positive rate on correct decisions) used by the baseline comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -96,6 +96,28 @@ class MonitorEvaluation:
         }
 
 
+def _evaluated_rows(monitor, patterns, predictions, labels, restrict_to_monitored=True):
+    """The rows predicted as a monitored class (every row when not
+    ``restrict_to_monitored``)."""
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
+    keep = np.isin(predictions, monitor.classes) | (not restrict_to_monitored)
+    return patterns[keep], predictions[keep], labels[keep]
+
+
+def _confusion(
+    gamma: int, supported: np.ndarray, misclassified: np.ndarray
+) -> MonitorEvaluation:
+    """Table II counts from one verdict vector."""
+    return MonitorEvaluation(
+        gamma=gamma,
+        total=int(len(supported)),
+        misclassified=int(misclassified.sum()),
+        out_of_pattern=int((~supported).sum()),
+        out_of_pattern_misclassified=int((~supported & misclassified).sum()),
+    )
+
+
 def evaluate_patterns(
     monitor: NeuronActivationMonitor,
     patterns: np.ndarray,
@@ -110,26 +132,42 @@ def evaluate_patterns(
     *predicted* as a monitored class are evaluated — those are the decisions
     the monitor supervises at runtime.
     """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if restrict_to_monitored:
-        mask = np.isin(predictions, monitor.classes)
-    else:
-        mask = np.ones(len(predictions), dtype=bool)
-    patterns = patterns[mask]
-    predictions = predictions[mask]
-    labels = labels[mask]
+    patterns, predictions, labels = _evaluated_rows(
+        monitor, patterns, predictions, labels, restrict_to_monitored
+    )
     if len(patterns) == 0:
         return MonitorEvaluation(monitor.gamma, 0, 0, 0, 0)
     supported = monitor.check(patterns, predictions)
-    misclassified = predictions != labels
-    return MonitorEvaluation(
-        gamma=monitor.gamma,
-        total=int(len(patterns)),
-        misclassified=int(misclassified.sum()),
-        out_of_pattern=int((~supported).sum()),
-        out_of_pattern_misclassified=int((~supported & misclassified).sum()),
+    return _confusion(monitor.gamma, supported, predictions != labels)
+
+
+def evaluate_sweep(
+    monitor: NeuronActivationMonitor,
+    patterns: np.ndarray,
+    predictions: np.ndarray,
+    labels: np.ndarray,
+    gammas: Sequence[int],
+) -> List[MonitorEvaluation]:
+    """One :func:`evaluate_patterns` row per γ, in the order given.
+
+    A row lies in ``Z^γ`` exactly when its distance to ``Z^0`` is within
+    γ (Definitions 2–3), so one ``min_distances`` pass capped at the
+    largest γ answers the whole sweep.  The monitor's γ is not touched.
+    """
+    gammas = [int(g) for g in gammas]
+    if any(g < 0 for g in gammas):
+        raise ValueError(f"gamma must be non-negative, got {min(gammas)}")
+    patterns, predictions, labels = _evaluated_rows(
+        monitor, patterns, predictions, labels
     )
+    if not gammas or len(patterns) == 0:
+        return [MonitorEvaluation(g, 0, 0, 0, 0) for g in gammas]
+    distances = monitor.min_distances(patterns, predictions, cap=max(gammas))
+    misclassified = predictions != labels
+    return [
+        _confusion(g, monitor.supported(distances, g), misclassified)
+        for g in gammas
+    ]
 
 
 def evaluate_monitor(

@@ -205,10 +205,12 @@ class NeuronActivationMonitor:
         """Exact per-row Hamming distance to the predicted class's ``Z^0``.
 
         The distance refines :meth:`check`'s binary verdict into "how far
-        out-of-distribution": ``distance <= gamma`` iff the row is
-        supported.  Rows predicted as an unmonitored class get distance 0
+        out-of-distribution"; :meth:`supported` turns it back into the
+        verdict.  Rows predicted as an unmonitored class get distance 0
         (the monitor has no opinion, mirroring ``check``'s ``True``); an
-        empty zone yields the ``d + 1`` sentinel of the backends.
+        empty zone yields the ``d + 1`` sentinel of the backends (d the
+        projected width), so the bare ``distance <= gamma`` matches
+        ``check`` only for γ ≤ d.
 
         ``cap=k`` bounds every answer at ``k + 1`` ("exact distance, or
         > k"), which lets the indexed bitset backend serve the query from
@@ -218,6 +220,21 @@ class NeuronActivationMonitor:
         return self._query_backend.min_distances_grouped(
             self.zones, projected, np.asarray(predicted_classes), cap=cap
         )
+
+    def supported(
+        self, distances: np.ndarray, gamma: Optional[int] = None
+    ) -> np.ndarray:
+        """Verdicts for :meth:`min_distances` output at γ (default: the
+        monitor's): supported iff ``distance <= min(γ, d)``, d the
+        projected width.
+
+        The clamp keeps an empty zone's ``d + 1`` sentinel unsupported once
+        γ exceeds d, as :meth:`check` answers; distances bounded by
+        ``cap=k`` give the same verdicts for every γ ≤ k.
+        """
+        if gamma is None:
+            gamma = self.gamma
+        return np.asarray(distances) <= min(gamma, len(self.monitored_neurons))
 
     @property
     def _query_backend(self) -> ZoneBackend:

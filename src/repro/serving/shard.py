@@ -124,8 +124,10 @@ class MonitorShard:
 
         When the caller also wants distances (the serving layer's inline
         histogram detector), deriving verdicts from the distance kernel
-        halves the backend work: ``min_distances(Q) <= gamma`` is
-        protocol-equivalent to ``contains_batch(Q, gamma)``.  This is the
+        halves the backend work: :meth:`NeuronActivationMonitor.supported`
+        turns the distances into the verdicts ``check`` gives, for every
+        γ (the bare ``distance <= gamma`` would pass an empty zone's
+        sentinel once γ exceeds the projected width).  This is the
         single callable the :class:`~repro.serving.server.StreamServer`
         ships to its thread pool or worker processes, so a whole
         micro-batch runs off the event loop (numpy releases the GIL
@@ -152,7 +154,7 @@ class MonitorShard:
         distances = monitor.min_distances(
             patterns, predicted_classes, cap=cap
         )
-        return distances <= monitor.gamma, distances
+        return monitor.supported(distances), distances
 
     def __repr__(self) -> str:
         return f"MonitorShard(id={self.shard_id}, classes={self.classes})"

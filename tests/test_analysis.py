@@ -129,6 +129,7 @@ class TestSweeps:
         rates = [r.out_of_pattern_rate for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         assert [r.gamma for r in rows] == [0, 1, 2]
+        assert monitor.gamma == 0  # the sweep leaves the monitor's γ alone
 
     def test_abstraction_sweep_density_monotone(self, frontcar_system):
         points = abstraction_sweep(frontcar_system, gammas=[0, 1, 2])

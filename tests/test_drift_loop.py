@@ -11,6 +11,7 @@ gamma/indexed resolution is covered in ``test_monitor_merge``, and
 ``DistanceShiftDetector`` baseline clipping/validation).
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.monitor import (
     NeuronActivationMonitor,
     StagingZone,
     ZoneSnapshot,
+    evaluate_patterns,
     partition_payloads,
 )
 from repro.monitor.calibration import GammaCalibrator
@@ -45,6 +47,18 @@ def _validation(seed=3, n=200, density=0.2):
     patterns = (rng.random((n, WIDTH)) < density).astype(np.uint8)
     labels = rng.integers(0, len(CLASSES), n)
     return patterns, labels
+
+
+def _loop_sweep(monitor, patterns, predictions, labels, gammas):
+    """The per-γ check loop the calibration sweep replaced, as an oracle;
+    the monitor's γ is restored afterwards."""
+    start = monitor.gamma
+    rows = []
+    for gamma in gammas:
+        monitor.set_gamma(gamma)
+        rows.append(evaluate_patterns(monitor, patterns, predictions, labels))
+    monitor.set_gamma(start)
+    return rows
 
 
 def _shifted_stream(seed=11, n=500, density=0.8):
@@ -222,12 +236,71 @@ class TestDriftResponder:
         # Baselines were re-measured against the new zones.
         val_patterns, val_labels = _validation()
         supported = responder.monitor.check(val_patterns, val_labels)
-        assert snapshot.baseline_oop_rate == pytest.approx(
-            1.0 - supported.mean()
-        )
+        assert snapshot.baseline_oop_rate == 1.0 - float(supported.mean())
         np.testing.assert_array_equal(
             snapshot.baseline_distances,
             responder.monitor.min_distances(val_patterns, val_labels),
+        )
+        # The one-pass sweep equals the per-γ check loop on the candidate.
+        expected = _loop_sweep(
+            responder.monitor, val_patterns, val_labels, val_labels,
+            range(responder.calibrator.max_gamma + 1),
+        )
+        assert [dataclasses.astuple(row) for row in snapshot.calibration.sweep] == [
+            dataclasses.astuple(row) for row in expected
+        ]
+
+    @pytest.mark.parametrize("backend,indexed", [
+        ("bitset", False), ("bitset", True), ("bdd", False),
+    ])
+    def test_respond_scans_the_retained_set_twice(self, monkeypatch, backend, indexed):
+        """One capped distance pass for the sweep, one exact pass for the
+        baselines, and no ``check``; the baselines match the check oracle
+        on a fleet with an empty zone and unmonitored predictions."""
+        rng = np.random.default_rng(5)
+        trained = (rng.random((250, WIDTH)) < 0.2).astype(np.uint8)
+        labels = rng.integers(0, 4, len(trained))  # classes 4, 5 stay empty
+        monitor = NeuronActivationMonitor(
+            WIDTH, CLASSES, gamma=1, backend=backend, indexed=indexed
+        )
+        monitor.record(trained, labels, labels)
+        val_patterns, _ = _validation()
+        val_predictions = rng.integers(0, len(CLASSES) + 2, len(val_patterns))
+        responder = DriftResponder(
+            monitor, val_patterns, val_predictions, val_predictions,
+            calibrator=GammaCalibrator(max_gamma=3), min_staged=16,
+        )
+        patterns, classes = _shifted_stream(n=60)
+        responder.staging.add(patterns, classes % 4)
+
+        calls = []
+        real_distances = NeuronActivationMonitor.min_distances
+        real_check = NeuronActivationMonitor.check
+
+        def spy_distances(self, rows, predicted, cap=None):
+            calls.append(("min_distances", len(rows), cap))
+            return real_distances(self, rows, predicted, cap=cap)
+
+        def spy_check(self, rows, predicted):
+            calls.append(("check", len(rows), None))
+            return real_check(self, rows, predicted)
+
+        monkeypatch.setattr(NeuronActivationMonitor, "min_distances", spy_distances)
+        monkeypatch.setattr(NeuronActivationMonitor, "check", spy_check)
+        snapshot = responder.respond([(0, CLASSES)])
+        monkeypatch.undo()
+
+        monitored = int(np.isin(val_predictions, CLASSES).sum())
+        assert calls == [
+            ("min_distances", monitored, responder.calibrator.max_gamma),
+            ("min_distances", len(val_patterns), None),
+        ]
+        candidate = responder.monitor
+        supported = candidate.check(val_patterns, val_predictions)
+        assert snapshot.baseline_oop_rate == 1.0 - float(supported.mean())
+        np.testing.assert_array_equal(
+            snapshot.baseline_distances,
+            candidate.min_distances(val_patterns, val_predictions),
         )
 
     def test_snapshot_rehydrates_bit_identical(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.monitor import binarize, extract_patterns, hamming_distance, pack_patterns, unpack_patterns
 from repro.monitor.patterns import infer_pattern_width
-from repro.nn import Linear, ReLU, Sequential, Tensor
+from repro.nn import Linear, ReLU, Sequential
 
 
 class TestBinarize:

@@ -1,7 +1,6 @@
 """Autograd correctness: every op is checked against numerical gradients."""
 
 import numpy as np
-import pytest
 
 from repro.nn import Tensor
 

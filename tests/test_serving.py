@@ -277,6 +277,32 @@ class TestStreamServer:
                 distances, np.minimum(exact_distances, max(cap, 2) + 1)
             )
 
+    @pytest.mark.parametrize("backend", ["bitset", "bdd"])
+    def test_check_batch_keeps_empty_zone_unsupported_past_width(self, backend):
+        """An empty zone's distance sentinel is width + 1, so the bare
+        ``distance <= γ`` used to pass it once γ exceeded the width while
+        ``check`` said unsupported.  Both paths must agree for every γ."""
+        monitor = NeuronActivationMonitor(3, [0, 1], gamma=4, backend=backend)
+        monitor.record(
+            np.array([[0, 1, 0]], dtype=np.uint8), np.array([0]), np.array([0])
+        )  # class 1 stays empty
+        shard = MonitorShard(0, monitor)
+        patterns = np.array([[1, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        classes = np.array([1, 0, 2])  # empty, recorded, unmonitored
+        verdicts, distances = shard.check_batch(
+            patterns, classes, with_distances=True
+        )
+        np.testing.assert_array_equal(verdicts, [False, True, True])
+        np.testing.assert_array_equal(distances, [4, 3, 0])
+        for gamma in range(7):
+            monitor.set_gamma(gamma)
+            expected = monitor.check(patterns, classes)
+            for cap in (None, 0, 6):
+                verdicts, _ = shard.check_batch(
+                    patterns, classes, with_distances=True, distance_cap=cap
+                )
+                np.testing.assert_array_equal(verdicts, expected)
+
     def test_capped_detector_stream_is_alarm_identical(self):
         """Serving feeds the histogram detector bounded distances; the
         histogram, divergence and alarm must match an exact-fed twin on a

@@ -17,7 +17,6 @@ composition with the monitor:
 The randomized SIGKILL crash sweep lives in ``test_store_recovery.py``.
 """
 
-import json
 import os
 import struct
 

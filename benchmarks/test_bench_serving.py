@@ -367,7 +367,6 @@ def test_shm_ring_transport_vs_pickled_pipes():
     full_batch = monitor.check(queries, query_classes)
     num_workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or scaled(4, 2)
     router = ShardRouter.partition(monitor, max(num_workers, 4))
-    routed = list(router.route(query_classes).items())
 
     elapsed = {}
     counters = {}
@@ -382,14 +381,11 @@ def test_shm_ring_transport_vs_pickled_pipes():
                 out = np.ones(num_requests, dtype=bool)
                 t0 = time.perf_counter()
                 futures = []
-                for shard_id, rows in routed:
-                    for start in range(0, len(rows), SHM_BLOCK_ROWS):
-                        piece = rows[start : start + SHM_BLOCK_ROWS]
-                        futures.append(
-                            (piece, pool.submit(
-                                shard_id, queries[piece], query_classes[piece]
-                            ))
-                        )
+                for start in range(0, num_requests, SHM_BLOCK_ROWS):
+                    piece = slice(start, start + SHM_BLOCK_ROWS)
+                    futures.append(
+                        (piece, pool.submit(queries[piece], query_classes[piece]))
+                    )
                 for piece, future in futures:
                     verdicts, _ = future.result(timeout=120)
                     out[piece] = verdicts

@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-pending", type=int, default=1024,
-        help="per-shard queue bound (producers block beyond it)",
+        help="bound of the one check queue, in blocks (producers block beyond it)",
     )
     serve_p.add_argument(
         "--requests", type=int, default=None,

@@ -48,7 +48,11 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.monitor.backends.bitset import _popcount_words, merge_sorted_pair
+from repro.monitor.backends.bitset import (
+    _popcount_words,
+    merge_sorted_pair,
+    pad_to_words,
+)
 
 
 def _pack_band(bits: np.ndarray) -> np.ndarray:
@@ -106,11 +110,7 @@ class MultiIndexHammingIndex:
 
         # Prototype triage: majority-vote pattern + per-row distances.
         proto_bits = (bits.mean(axis=0) >= 0.5).astype(np.uint8)
-        packed = np.packbits(proto_bits[None, :], axis=1)
-        pad = row_words * 8 - packed.shape[1]
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        self._proto = np.ascontiguousarray(packed).view(np.uint64)
+        self._proto = pad_to_words(np.packbits(proto_bits[None, :], axis=1), row_words)
         self._proto_dists = _popcount_words(words ^ self._proto).sum(
             axis=1, dtype=np.int64
         )

@@ -11,6 +11,7 @@ accumulator for slowly drifting shifts.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -83,6 +84,7 @@ class DistributionShiftDetector:
         self.cusum_slack = cusum_slack
         self.cusum_threshold = cusum_threshold
         self._buffer: Deque[bool] = deque(maxlen=window)
+        self._ones = 0  # running count of True flags in the window
         self._cusum = 0.0
         self._seen = 0
         # Serving calls update() from worker threads while the stats
@@ -95,9 +97,9 @@ class DistributionShiftDetector:
         """Current state from the window and accumulator (shared by
         :meth:`update` and :meth:`peek` so the alarm rule cannot drift)."""
         n = len(self._buffer)
-        rate = sum(self._buffer) / n if n else 0.0
+        rate = self._ones / n if n else 0.0
         # One-sided z-test of the windowed rate against the baseline.
-        std = np.sqrt(
+        std = math.sqrt(
             max(self.baseline_rate * (1.0 - self.baseline_rate), 1e-12) / max(n, 1)
         )
         z = (rate - self.baseline_rate) / std
@@ -116,7 +118,12 @@ class DistributionShiftDetector:
 
     def _update_locked(self, out_of_pattern: bool) -> ShiftState:
         """One observation; caller holds ``self._lock``."""
-        self._buffer.append(bool(out_of_pattern))
+        flag = bool(out_of_pattern)
+        buffer = self._buffer
+        if len(buffer) == self.window:
+            self._ones -= buffer[0]  # the append below evicts it
+        buffer.append(flag)
+        self._ones += flag
         self._seen += 1
         self._cusum = max(
             0.0,
@@ -143,8 +150,11 @@ class DistributionShiftDetector:
         Holds the lock across the whole batch (via the unlocked helper —
         a plain lock would self-deadlock on nested ``update`` calls), so
         a concurrent ``rebaseline`` lands before or after the batch,
-        never inside it.
+        never inside it.  A numpy flag array is read as Python bools in
+        one ``tolist()`` rather than element by element.
         """
+        if isinstance(flags, np.ndarray):
+            flags = flags.tolist()
         with self._lock:
             return [self._update_locked(flag) for flag in flags]
 
@@ -175,12 +185,14 @@ class DistributionShiftDetector:
         with self._lock:
             self.baseline_rate = float(baseline_rate)
             self._buffer.clear()
+            self._ones = 0
             self._cusum = 0.0
 
     def reset(self) -> None:
         """Clear the window and the CUSUM accumulator."""
         with self._lock:
             self._buffer.clear()
+            self._ones = 0
             self._cusum = 0.0
             self._seen = 0
 

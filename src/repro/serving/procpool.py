@@ -203,12 +203,10 @@ class ProcessShardPool(ShardFleet):
     # ------------------------------------------------------------------
     def _send(self, worker: WorkerHandle, block) -> bool:
         ring = self._rings[worker.key]
-        # The slot layout is one class id per row: anything else (odd
-        # caller-shaped blocks; they fail validation worker-side) rides
-        # the pipe, as do non-integer class arrays.
+        # The slot layout is one int64 class id per row: non-integer
+        # class arrays ride the pipe.
         if (
             ring is not None
-            and len(block.classes) == block.rows
             and block.classes.dtype.kind in "iu"
             and ring.fits(block.rows, block.packed.nbytes)
         ):

@@ -3,35 +3,34 @@
 The deployment loop of the paper checks one decision at a time; the zone
 backends answer *matrices* orders of magnitude faster per row.  The
 :class:`StreamServer` closes that gap for a stream of concurrent callers:
-requests are enqueued per shard, a worker per shard coalesces whatever
-arrived within ``max_delay_ms`` (up to ``max_batch`` rows) into one
-vectorised ``contains_batch`` call, and resolves each caller's future
-individually.  Bounded queues give natural backpressure — producers block
-in ``await`` when a shard falls behind rather than growing the queue
-without limit.
+requests go into one bounded check queue, and one coalescing consumer per
+execution lane drains it — it merges whatever arrived within
+``max_delay_ms`` (up to ``max_batch`` rows, whatever shards they belong
+to) into one routed :meth:`~repro.serving.shard.ShardRouter.check_batch`
+call, and resolves each caller's future individually.  The bounded queue
+gives natural backpressure — producers block in ``await`` when the lanes
+fall behind rather than growing the queue without limit.
 
-Two design points keep the hot path cheap and the shards genuinely
-parallel:
+Two design points keep the hot path cheap and the lanes busy:
 
 * **Block requests.**  A queue entry carries a *block* of pre-stacked
   rows, not a single pattern.  :meth:`StreamServer.check` wraps one row
   per block (the open-stream shape); :meth:`StreamServer.check_many`
-  routes a whole matrix shard-by-shard with vectorised numpy indexing and
-  enqueues ``max_batch``-row blocks directly — no per-row coroutine, no
-  per-row array boxing, one future per block.
-* **Pluggable executors.**  Workers ship each coalesced batch to the
-  configured execution substrate (the ``executor`` knob): ``"thread"``
-  runs it on a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  (``loop.run_in_executor`` — the XOR/popcount and BDD kernels release
-  the GIL inside numpy, so shard batches compute concurrently on
-  multicore hosts while the loop coalesces the next batches; tiny
-  batches skip the executor hop, ``_EXECUTOR_MIN_ROWS``); ``"process"``
-  ships every batch as one pickled packed-bit block to a shared-nothing
-  :class:`~repro.serving.procpool.ProcessShardPool` of worker processes
-  (escapes the GIL for the Python routing too, survives worker crashes
-  via respawn + requeue); ``"inline"`` runs kernels on the loop.  The
-  queueing/coalescing/backpressure/stats layer is identical across all
-  three — the executor only changes where ``check_batch`` executes.
+  drops unmonitored rows with one vectorised class lookup and enqueues
+  the rest as ``max_batch``-row blocks directly — no per-row coroutine,
+  no per-row array boxing, one future per block, and a block whose rows
+  span several shards stays one block.
+* **One lane per unit of execution.**  The ``executor`` knob sets where
+  batches run and so the lane count: ``"inline"`` has one lane running
+  kernels on the loop; ``"thread"`` one lane per thread of a shared
+  :class:`~concurrent.futures.ThreadPoolExecutor` (the XOR/popcount and
+  BDD kernels release the GIL inside numpy; batches under
+  ``_EXECUTOR_MIN_ROWS`` skip the hop); ``"process"`` / ``"cluster"``
+  one lane per fleet worker, each batch one request through
+  :meth:`~repro.serving.fleet.ShardFleet.submit` (the worker routes the
+  rows among its shards; crashes are survived by respawn + requeue).
+  Queueing, coalescing, backpressure and stats are the same for all
+  four.
 
 Two request shapes are served:
 
@@ -47,7 +46,7 @@ When detectors are attached, every served verdict feeds the binary
 distance the histogram
 :class:`~repro.monitor.shift.DistanceShiftDetector`; verdicts and
 distances then come from one combined distance kernel per batch
-(:meth:`~repro.serving.shard.MonitorShard.check_batch`), so the §V shift
+(:meth:`~repro.serving.shard.ShardRouter.check_batch`), so the §V shift
 indicator runs inline with serving at no extra query cost.
 """
 
@@ -78,10 +77,14 @@ _EXECUTOR_MIN_ROWS = 16
 
 @dataclass
 class ShardServingStats:
-    """Counters and latency samples for one shard's worker.
+    """Counters and latency samples for one shard (or one fleet worker).
 
     ``requests`` counts rows; ``batches`` counts vectorised backend
     calls, so ``mean_batch`` is the amortisation factor of the kernel.
+    A :class:`StreamServer` batch may span shards: each shard's
+    ``requests`` stays exact, and the batch (with its queue, latency and
+    offload counters) is charged once, to the shard of its first row, so
+    the shards' ``batches`` add up to the server's kernel calls.
     """
 
     shard_id: int
@@ -94,6 +97,12 @@ class ShardServingStats:
     latencies: Deque[float] = field(
         default_factory=lambda: deque(maxlen=_LATENCY_SAMPLES)
     )
+
+    def note_depth(self, depth: int) -> None:
+        """Record the current queue depth (and its high-water mark)."""
+        self.queue_depth = depth
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
 
     @property
     def mean_batch(self) -> float:
@@ -122,12 +131,9 @@ class ShardServingStats:
 
 
 class _CheckRequest:
-    """A block of pre-stacked query rows awaiting one shard verdict.
-
-    Plain ``__slots__`` object, not a dataclass: these are created once
-    per block on the producer hot path, and attribute-dict allocation is
-    measurable at micro-batching request rates.
-    """
+    """A block of pre-stacked query rows (of any shards) awaiting its
+    verdicts.  Plain ``__slots__``, not a dataclass: one is made per block
+    on the producer hot path, where attribute dicts are measurable."""
 
     __slots__ = ("patterns", "classes", "rows", "future", "enqueued_at")
 
@@ -162,9 +168,9 @@ class StreamServer:
         Longest a worker waits for stragglers once it holds a request —
         the latency price paid for batching (0 disables coalescing delay).
     max_pending:
-        Per-shard queue bound, in queued blocks; producers await when a
-        shard is this far behind (backpressure instead of unbounded
-        memory).
+        Bound of the one check queue (and of the classify queue), in
+        queued blocks; producers await when the lanes are this far
+        behind (backpressure instead of unbounded memory).
     classifier:
         Optional :class:`MonitoredClassifier` enabling :meth:`classify`
         (raw inputs micro-batched through the network first).
@@ -181,34 +187,19 @@ class StreamServer:
         least one detector — without an alarm source the staging zone
         would only ever fill.
     executor:
-        Where coalesced batches execute — the coalescing, backpressure
-        and stats layer above is identical for all three:
-
-        * ``"inline"`` — kernels run on the event loop (single-threaded,
-          the pre-PR-3 behaviour);
-        * ``"thread"`` — shared :class:`ThreadPoolExecutor`; numpy
-          releases the GIL inside the kernels, so shard batches compute
-          concurrently in one process (the PR-3 model, default);
-        * ``"process"`` — a shared-nothing
-          :class:`~repro.serving.procpool.ProcessShardPool`: ``workers``
-          processes each rehydrate the shards from their portable
-          visited-pattern payloads, and every batch crosses as one
-          packed-bit block — through a preallocated shared-memory ring
-          slot by default, over the pipe as a pickled tuple on
-          ``pool_transport="pipe"`` (crashed workers respawn with
-          in-flight blocks requeued and ring slots reclaimed);
-        * ``"cluster"`` — a :class:`~repro.serving.cluster.ClusterCoordinator`:
-          the same block protocol over framed TCP, so workers can live
-          on other hosts (``cluster_address`` binds the listen socket
-          external ``python -m repro serve-worker`` processes dial;
-          ``None`` self-hosts ``workers`` local processes on loopback).
-          Dropped workers reconnect, or their shards are re-placed on
-          the survivors with unanswered blocks requeued.
-
-        ``None`` derives the mode from ``executor_threads`` (``0`` →
-        inline, else thread), honouring the ``REPRO_SERVING_EXECUTOR``
-        environment override when neither knob is set (this is how CI
-        forces the whole serving suite through the process executor).
+        Where coalesced batches execute (see the module docstring):
+        ``"inline"``, ``"thread"`` (default), ``"process"`` — a
+        :class:`~repro.serving.procpool.ProcessShardPool` of ``workers``
+        processes, blocks through shared-memory rings or, on
+        ``pool_transport="pipe"``, pickled — or ``"cluster"`` — a
+        :class:`~repro.serving.cluster.ClusterCoordinator` over framed
+        TCP (``cluster_address`` binds the socket external
+        ``python -m repro serve-worker`` processes dial; ``None``
+        self-hosts ``workers`` local processes on loopback).  ``None``
+        derives the mode from ``executor_threads`` (``0`` → inline, else
+        thread), honouring the ``REPRO_SERVING_EXECUTOR`` environment
+        override when neither knob is set (this is how CI forces the
+        whole serving suite through the process executor).
     executor_threads:
         Size of the shared kernel thread pool (``executor="thread"``).
         ``None`` (default) sizes it to ``min(num_shards + 1,
@@ -317,13 +308,12 @@ class StreamServer:
             None if distance_detector is None
             else distance_detector.max_distance + 1
         )
-        self._queues: Dict[int, "asyncio.Queue[Optional[_CheckRequest]]"] = {}
+        self._queue: Optional["asyncio.Queue[Optional[_CheckRequest]]"] = None
+        self._lanes = 0
         self._classify_queue: Optional["asyncio.Queue[Optional[_ClassifyRequest]]"] = None
         self._workers: List["asyncio.Task"] = []
-        self._stats = {
-            shard.shard_id: ShardServingStats(shard.shard_id)
-            for shard in router.shards
-        }
+        # One row per shard, indexed by the positions ``router.locate`` returns.
+        self._stats = [ShardServingStats(shard.shard_id) for shard in router.shards]
         self._classify_stats = ShardServingStats(shard_id=-1)
         self._running = False
 
@@ -331,10 +321,13 @@ class StreamServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn one micro-batching worker per shard (idempotent)."""
+        """Open the check queue and one coalescing lane per kernel thread,
+        per fleet worker (once the fleet is up) or, inline, just one; a
+        classifier adds the classify queue and its lane (idempotent)."""
         if self._running:
             return
         self._running = True
+        lanes = 1
         if self.executor_mode == "thread":
             threads = self.executor_threads
             if threads is None:
@@ -343,6 +336,7 @@ class StreamServer:
                 self._executor = ThreadPoolExecutor(
                     max_workers=threads, thread_name_prefix="repro-serving"
                 )
+                lanes = threads
         elif self.executor_mode in ("process", "cluster"):
             from repro.serving.cluster import ClusterCoordinator
             from repro.serving.procpool import ProcessShardPool
@@ -374,19 +368,18 @@ class StreamServer:
             self._pool = await asyncio.get_running_loop().run_in_executor(
                 None, _build_and_start
             )
-        for shard in self.router.shards:
-            queue: "asyncio.Queue[Optional[_CheckRequest]]" = asyncio.Queue(
-                maxsize=self.max_pending
-            )
-            self._queues[shard.shard_id] = queue
-            self._workers.append(
-                asyncio.ensure_future(self._check_worker(shard, queue))
-            )
+            lanes = len(self._pool)
+        self._queue = asyncio.Queue(maxsize=self.max_pending)
+        self._lanes = lanes
+        self._workers = [
+            asyncio.ensure_future(self._lane(self._queue, self._check_batch))
+            for _ in range(lanes)
+        ]
         if self.classifier is not None:
             self._classify_queue = asyncio.Queue(maxsize=self.max_pending)
-            self._workers.append(
-                asyncio.ensure_future(self._classify_worker(self._classify_queue))
-            )
+            self._workers.append(asyncio.ensure_future(
+                self._lane(self._classify_queue, self._classify_batch)
+            ))
 
     async def stop(self) -> None:
         """Drain queued work, then stop every worker."""
@@ -395,11 +388,11 @@ class StreamServer:
         self._running = False
         if self._classify_queue is not None:
             await self._classify_queue.put(None)
-        for queue in self._queues.values():
-            await queue.put(None)
+        for _ in range(self._lanes):  # one sentinel per lane, FIFO behind the work
+            await self._queue.put(None)
         await asyncio.gather(*self._workers)
         self._workers.clear()
-        self._queues.clear()
+        self._queue = None
         self._classify_queue = None
         if self._swap_task is not None:
             # A drift swap scheduled by a draining worker must finish
@@ -451,33 +444,25 @@ class StreamServer:
             # distance-0 bin and pollute the TV-divergence baseline
             # (masking real drift, or alarming on a traffic-mix change).
             return True
-        shard = self.router.shard_for(predicted_class)
         # Pre-packed single-row fast path: a caller streaming 1-D rows
         # (the deployment shape) skips the asarray/copy entirely.
         if type(pattern) is not np.ndarray or pattern.ndim != 1:
             pattern = np.asarray(pattern).reshape(-1)
         request = _CheckRequest(
             patterns=pattern[None, :],
-            classes=predicted_class,
+            classes=np.array([predicted_class]),
             rows=1,
             future=asyncio.get_running_loop().create_future(),
             enqueued_at=time.perf_counter(),
         )
-        queue = self._queues[shard.shard_id]
-        await queue.put(request)  # blocks under backpressure
-        stats = self._stats[shard.shard_id]
-        depth = queue.qsize()
-        stats.queue_depth = depth
-        if depth > stats.max_queue_depth:
-            stats.max_queue_depth = depth
+        await self._queue.put(request)  # blocks under backpressure
+        self._stats[self.router.locate(request.classes)[0]].note_depth(self._queue.qsize())
         verdicts = await request.future
         return bool(verdicts[0])
 
-    async def check_many(
-        self, patterns: np.ndarray, predicted_classes: Sequence[int]
-    ) -> np.ndarray:
-        """Vectorised bulk submit: route the whole matrix, enqueue
-        ``max_batch``-row blocks per shard, gather verdicts in order.
+    async def check_many(self, patterns: np.ndarray, predicted_classes: Sequence[int]) -> np.ndarray:
+        """Vectorised bulk submit: drop unmonitored rows, enqueue the rest
+        as ``max_batch``-row blocks of any shards, gather verdicts in order.
 
         Semantically identical to firing one :meth:`check` per row
         concurrently, but the per-row fixed overhead (coroutine, array
@@ -493,40 +478,33 @@ class StreamServer:
         if n == 0:
             return verdicts
         loop = asyncio.get_running_loop()
-        groups = self.router.route(predicted_classes)
+        owners = self.router.locate(predicted_classes)
+        routed = np.flatnonzero(owners >= 0)
+        queue = self._queue
         pending: List[Tuple[np.ndarray, "asyncio.Future"]] = []
-        routed_rows = 0
-        for shard_id, rows in groups.items():
-            queue = self._queues[shard_id]
-            stats = self._stats[shard_id]
-            routed_rows += len(rows)
-            for start in range(0, len(rows), self.max_batch):
-                block = rows[start : start + self.max_batch]
-                request = _CheckRequest(
-                    patterns=patterns[block],
-                    classes=predicted_classes[block],
-                    rows=len(block),
-                    future=loop.create_future(),
-                    enqueued_at=time.perf_counter(),
-                )
-                if queue.full():
-                    await queue.put(request)  # backpressure
-                else:
-                    queue.put_nowait(request)
-                depth = queue.qsize()
-                stats.queue_depth = depth
-                if depth > stats.max_queue_depth:
-                    stats.max_queue_depth = depth
-                pending.append((block, request.future))
+        for start in range(0, len(routed), self.max_batch):
+            block = routed[start : start + self.max_batch]
+            request = _CheckRequest(
+                patterns=patterns[block],
+                classes=predicted_classes[block],
+                rows=len(block),
+                future=loop.create_future(),
+                enqueued_at=time.perf_counter(),
+            )
+            if queue.full():
+                await queue.put(request)  # backpressure
+            else:
+                queue.put_nowait(request)
+            self._stats[owners[block[0]]].note_depth(queue.qsize())
+            pending.append((block, request.future))
         # Rows predicted as unmonitored classes: trusted verdicts feed
         # the binary shift detector exactly like the per-request path,
         # but the distance detector sees only *served* distances — no
         # shard computed anything for these rows, and synthetic zeros
         # would pollute the TV-divergence baseline histogram.
-        unrouted = n - routed_rows
+        unrouted = n - len(routed)
         if unrouted and self.shift_detector is not None:
-            for _ in range(unrouted):
-                self.shift_detector.update(False)
+            self.shift_detector.update_many(np.zeros(unrouted, dtype=bool))
         # return_exceptions so every block future is retrieved even when
         # several fail (no "exception was never retrieved" loop warnings);
         # the first failure is then re-raised like a plain gather.
@@ -557,11 +535,7 @@ class StreamServer:
             enqueued_at=time.perf_counter(),
         )
         await self._classify_queue.put(request)
-        stats = self._classify_stats
-        depth = self._classify_queue.qsize()
-        stats.queue_depth = depth
-        if depth > stats.max_queue_depth:
-            stats.max_queue_depth = depth
+        self._classify_stats.note_depth(self._classify_queue.qsize())
         return await request.future
 
     # ------------------------------------------------------------------
@@ -594,27 +568,22 @@ class StreamServer:
             total += item.rows
         return batch, total, None, False
 
-    async def _run_kernel(self, shard, patterns, classes, rows, stats):
-        """Execute one coalesced batch — off-loop when it pays.
-
-        Process mode ships *every* batch to the worker fleet (no inline
-        small-batch shortcut): the workers own the only live backends in
-        that mode, so all traffic stays shared-nothing and crash/requeue
-        semantics cover the whole stream.
-        """
+    async def _run_kernel(self, patterns, classes, rows, stats):
+        """Execute one coalesced batch — off-loop when it pays.  A fleet
+        gets *every* batch (no inline shortcut): its workers own the only
+        live backends, so crash/requeue semantics cover the whole stream."""
         want_distances = self.distance_detector is not None
         if self._pool is not None:
             stats.offloaded_batches += 1
             pool = self._pool
             # Submit from the loop's default thread pool, not the loop
             # itself: if the target worker just crashed, submit() blocks
-            # on the respawn handshake, and only the crashed shard's
-            # traffic should feel that — the loop must stay free to
-            # coalesce every other shard's batches.
+            # on the respawn handshake, and only this lane should feel
+            # that — the loop must stay free to coalesce for the others.
             block_future = await asyncio.get_running_loop().run_in_executor(
                 None,
                 lambda: pool.submit(
-                    shard.shard_id, patterns, classes,
+                    patterns, classes,
                     with_distances=want_distances,
                     distance_cap=self._distance_cap,
                 ),
@@ -623,126 +592,108 @@ class StreamServer:
         if self._executor is not None and rows >= _EXECUTOR_MIN_ROWS:
             stats.offloaded_batches += 1
             return await asyncio.get_running_loop().run_in_executor(
-                self._executor, shard.check_batch, patterns, classes,
+                self._executor, self.router.check_batch, patterns, classes,
                 want_distances, self._distance_cap,
             )
         # lint: disable=async-blocking-call -- deliberate inline fast path: batches under _EXECUTOR_MIN_ROWS finish faster than an executor hop
-        return shard.check_batch(patterns, classes, want_distances, self._distance_cap)
+        return self.router.check_batch(
+            patterns, classes, want_distances, self._distance_cap
+        )
 
-    async def _check_worker(
-        self, shard, queue: "asyncio.Queue[Optional[_CheckRequest]]"
-    ) -> None:
-        stats = self._stats[shard.shard_id]
-        carry: Optional[_CheckRequest] = None
+    async def _lane(self, queue: "asyncio.Queue", serve) -> None:
+        """Drain ``queue`` until its sentinel, one coalesced batch at a
+        time; ``await serve(batch, rows)`` answers the callers.  A bad
+        request (e.g. a wrong pattern width) fails its own batch, never
+        the lane — a dead lane would wedge every later caller."""
+        carry = None
         stopping = False
-        while True:
+        while carry is not None or not stopping:
             if carry is not None:
                 first, carry = carry, None
             else:
-                if stopping:
-                    break
                 first = await queue.get()
                 if first is None:
-                    break
+                    return
             batch, total, carry, got_stop = await self._collect_batch(queue, first)
             stopping = stopping or got_stop
             try:
-                if len(batch) == 1:
-                    patterns = batch[0].patterns
-                    classes = np.atleast_1d(np.asarray(batch[0].classes))
-                else:
-                    patterns = np.concatenate([r.patterns for r in batch])
-                    classes = np.concatenate(
-                        [np.atleast_1d(np.asarray(r.classes)) for r in batch]
-                    )
-                supported, distances = await self._run_kernel(
-                    shard, patterns, classes, total, stats
-                )
+                await serve(batch, total)
             except Exception as exc:  # noqa: BLE001 — surfaced to callers
-                # A bad request (e.g. wrong pattern width) must fail its
-                # own batch, not kill the worker and wedge every later
-                # caller on an unresolved future.
                 for request in batch:
                     if not request.future.done():
                         request.future.set_exception(exc)
-                continue
-            now = time.perf_counter()
-            stats.requests += total
-            stats.batches += 1
-            if total > stats.max_batch:
-                stats.max_batch = total
-            stats.queue_depth = queue.qsize()
-            shift = self.shift_detector
-            distance_detector = self.distance_detector
-            responder = self.drift_responder
-            if responder is not None:
-                # Stage the flagged rows *before* the detector updates:
-                # the alarm that those updates may raise finds its
-                # evidence already in the staging zone.
-                flagged = ~supported
-                if flagged.any():
-                    responder.staging.add(patterns[flagged], classes[flagged])
-            alarm = False
-            offset = 0
-            for request in batch:
-                stats.latencies.append(now - request.enqueued_at)
-                block = supported[offset : offset + request.rows]
-                if shift is not None:
-                    for value in block:
-                        alarm |= shift.update(not bool(value)).alarm
-                if distance_detector is not None:
-                    states = distance_detector.update_many(
-                        distances[offset : offset + request.rows]
-                    )
-                    alarm = alarm or any(state.alarm for state in states)
-                if not request.future.done():
-                    request.future.set_result(block)
-                offset += request.rows
-            if alarm and responder is not None:
-                self._maybe_respond()
 
-    async def _classify_worker(
-        self, queue: "asyncio.Queue[Optional[_ClassifyRequest]]"
-    ) -> None:
-        classifier = self.classifier
+    async def _check_batch(self, batch: List[_CheckRequest], total: int) -> None:
+        """One check batch: one routed query, then stats, drift staging,
+        detectors and the callers' verdicts."""
+        if len(batch) == 1:
+            patterns, classes = batch[0].patterns, batch[0].classes
+        else:
+            patterns = np.concatenate([r.patterns for r in batch])
+            classes = np.concatenate([r.classes for r in batch])
+        # Shard positions + 1: a row whose class left the router (a swap
+        # that moved classes) lands in bin 0, uncounted.
+        owners = self.router.locate(classes) + 1
+        lead = self._stats[max(owners[0] - 1, 0)]
+        supported, distances = await self._run_kernel(patterns, classes, total, lead)
+        now = time.perf_counter()
+        counts = np.bincount(owners, minlength=len(self._stats) + 1)
+        for position in np.flatnonzero(counts[1:]).tolist():
+            self._stats[position].requests += int(counts[position + 1])
+        lead.batches += 1
+        lead.max_batch = max(lead.max_batch, total)
+        lead.note_depth(self._queue.qsize())
+        shift = self.shift_detector
+        distance_detector = self.distance_detector
+        responder = self.drift_responder
+        if responder is not None:
+            # Stage the flagged rows *before* the detector updates: the
+            # alarm that those updates may raise finds its evidence
+            # already in the staging zone.
+            flagged = ~supported
+            if flagged.any():
+                responder.staging.add(patterns[flagged], classes[flagged])
+        alarm = False
+        offset = 0
+        for request in batch:
+            end = offset + request.rows
+            lead.latencies.append(now - request.enqueued_at)
+            block = supported[offset:end]
+            if shift is not None:
+                states = shift.update_many(~block)
+                alarm = alarm or any(state.alarm for state in states)
+            if distance_detector is not None:
+                states = distance_detector.update_many(distances[offset:end])
+                alarm = alarm or any(state.alarm for state in states)
+            if not request.future.done():
+                request.future.set_result(block)
+            offset = end
+        if alarm and responder is not None:
+            self._maybe_respond()
+
+    async def _classify_batch(self, batch: List[_ClassifyRequest], total: int) -> None:
+        """One classify batch: one forward pass + monitor check."""
         stats = self._classify_stats
-        loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            first = await queue.get()
-            if first is None:
-                break
-            batch, _total, carry, stopping = await self._collect_batch(queue, first)
-            # Single-row requests can never overflow the row budget; a
-            # carried request here would mean rows != 1 and a silently
-            # dropped (forever-pending) caller — fail loudly instead.
-            assert carry is None, "classify requests must stay single-row"
-            try:
-                inputs = np.stack([r.single_input for r in batch])
-                if self._executor is not None and len(batch) >= _EXECUTOR_MIN_ROWS:
-                    stats.offloaded_batches += 1
-                    verdicts = await loop.run_in_executor(
-                        self._executor, classifier.classify, inputs
-                    )
-                else:
-                    # lint: disable=async-blocking-call -- same inline small-batch fast path as _run_kernel
-                    verdicts = classifier.classify(inputs)
-            except Exception as exc:  # noqa: BLE001 — surfaced to callers
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                continue
-            now = time.perf_counter()
-            stats.requests += len(batch)
-            stats.batches += 1
-            stats.max_batch = max(stats.max_batch, len(batch))
-            stats.queue_depth = queue.qsize()
-            for request, verdict in zip(batch, verdicts):
-                stats.latencies.append(now - request.enqueued_at)
-                if self.shift_detector is not None:
-                    self.shift_detector.update(verdict.warning)
-                if not request.future.done():
-                    request.future.set_result(verdict)
+        inputs = np.stack([r.single_input for r in batch])
+        if self._executor is not None and total >= _EXECUTOR_MIN_ROWS:
+            stats.offloaded_batches += 1
+            verdicts = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.classifier.classify, inputs
+            )
+        else:
+            # lint: disable=async-blocking-call -- same inline small-batch fast path as _run_kernel
+            verdicts = self.classifier.classify(inputs)
+        now = time.perf_counter()
+        stats.requests += total
+        stats.batches += 1
+        stats.max_batch = max(stats.max_batch, total)
+        stats.queue_depth = self._classify_queue.qsize()
+        if self.shift_detector is not None:
+            self.shift_detector.update_many([v.warning for v in verdicts])
+        for request, verdict in zip(batch, verdicts):
+            stats.latencies.append(now - request.enqueued_at)
+            if not request.future.done():
+                request.future.set_result(verdict)
 
     # ------------------------------------------------------------------
     # drift response (alarm → absorb → recalibrate → hot-swap)
@@ -818,7 +769,7 @@ class StreamServer:
     # ------------------------------------------------------------------
     def stats(self) -> List[Dict[str, float]]:
         """Per-shard serving statistics (requests, batching, latency)."""
-        rows = [self._stats[s.shard_id].as_dict() for s in self.router.shards]
+        rows = [stats.as_dict() for stats in self._stats]
         if self.classifier is not None:
             rows.append(self._classify_stats.as_dict())
         return rows

@@ -9,7 +9,9 @@ a monitor into shards, routes query rows to the shard owning their
 predicted class, and reassembles the full monitor with
 :meth:`NeuronActivationMonitor.merge` (the exact inverse of
 :meth:`ShardRouter.partition`, since zones are exchanged as deduplicated
-visited-pattern matrices).
+visited-pattern matrices).  :meth:`ShardRouter.check_batch` answers a
+block whose rows span several shards in one call, in-process or inside a
+fleet worker.
 
 Detection monitors shard along their natural axis instead: one shard per
 grid cell (:func:`shard_detection_monitor`), each wrapping that cell's
@@ -18,13 +20,45 @@ complete per-class monitor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.devtools.lint.runtime import named_lock
 from repro.monitor.detection import DetectionMonitor
 from repro.monitor.monitor import NeuronActivationMonitor
 from repro.monitor.patterns import pack_patterns, unpack_patterns
+
+
+class ClassIndex:
+    """``class -> owner`` for a whole block in one ``searchsorted`` (not
+    one ``isin`` pass per shard).  Owners are ints — a router's shard
+    positions, a fleet's shard ids; unowned classes map to ``-1``."""
+
+    __slots__ = ("_keys", "_owners")
+
+    def __init__(self, owner_of_class: Dict[int, int]):
+        keys = sorted(owner_of_class)
+        self._keys = np.asarray(keys, dtype=np.int64)
+        self._owners = np.asarray([owner_of_class[c] for c in keys], dtype=np.int64)
+
+    def owners(self, classes: np.ndarray) -> np.ndarray:
+        classes = np.asarray(classes)
+        if not len(self._keys):
+            return np.full(classes.shape, -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self._keys, classes), len(self._keys) - 1)
+        return np.where(self._keys[pos] == classes, self._owners[pos], -1)
+
+
+def _query(monitor, patterns, predicted_classes, with_distances, distance_cap):
+    """One monitor's combined query (see :meth:`MonitorShard.check_batch`)."""
+    if not with_distances:
+        return monitor.check(patterns, predicted_classes), None
+    cap = None
+    if distance_cap is not None:
+        cap = max(int(distance_cap), monitor.gamma)
+    distances = monitor.min_distances(patterns, predicted_classes, cap=cap)
+    return monitor.supported(distances), distances
 
 
 class MonitorShard:
@@ -127,11 +161,7 @@ class MonitorShard:
         halves the backend work: :meth:`NeuronActivationMonitor.supported`
         turns the distances into the verdicts ``check`` gives, for every
         γ (the bare ``distance <= gamma`` would pass an empty zone's
-        sentinel once γ exceeds the projected width).  This is the
-        single callable the :class:`~repro.serving.server.StreamServer`
-        ships to its thread pool or worker processes, so a whole
-        micro-batch runs off the event loop (numpy releases the GIL
-        inside the kernels).
+        sentinel once γ exceeds the projected width).
 
         ``distance_cap=k`` requests the *bounded* distance form
         (``min(true, k+1)`` per row — index-accelerated on the indexed
@@ -140,21 +170,9 @@ class MonitorShard:
         serving layer passes the attached detector's overflow bin, which
         keeps the histogram/alarm stream bit-identical too.
         """
-        # One local reference for the whole batch: a concurrent zone swap
-        # (``ShardRouter.apply_snapshot`` rebinds ``self.monitor``) must
-        # never split a batch across epochs — every read below (check,
-        # gamma clamp, distance kernel, verdict derivation) sees the same
-        # monitor object.
-        monitor = self.monitor
-        if not with_distances:
-            return monitor.check(patterns, predicted_classes), None
-        cap = None
-        if distance_cap is not None:
-            cap = max(int(distance_cap), monitor.gamma)
-        distances = monitor.min_distances(
-            patterns, predicted_classes, cap=cap
-        )
-        return monitor.supported(distances), distances
+        # ``_query`` reads the one monitor it is handed: a concurrent zone
+        # swap rebinding ``self.monitor`` never splits the batch.
+        return _query(self.monitor, patterns, predicted_classes, with_distances, distance_cap)
 
     def __repr__(self) -> str:
         return f"MonitorShard(id={self.shard_id}, classes={self.classes})"
@@ -166,7 +184,11 @@ class ShardRouter:
     The router is the synchronous core of the serving layer: it owns the
     class → shard map and stitches per-shard vectorised answers back into
     request order.  The async :class:`~repro.serving.server.StreamServer`
-    adds queueing and micro-batching on top.
+    adds queueing and micro-batching on top, and every fleet worker
+    answers its blocks through a router of the shards it holds.  Each
+    query reads the routing table once and :meth:`apply_snapshot`
+    replaces it in one assignment, so a block is answered wholly by one
+    zone epoch even while a swap runs on another thread.
     """
 
     def __init__(self, shards: Sequence[MonitorShard]):
@@ -175,15 +197,27 @@ class ShardRouter:
         self.shards = list(shards)
         self.epoch = 0
         self._shard_by_id: Dict[int, MonitorShard] = {}
-        self._owner: Dict[int, MonitorShard] = {}
         for shard in self.shards:
             if shard.shard_id in self._shard_by_id:
                 raise ValueError(f"duplicate shard id {shard.shard_id}")
             self._shard_by_id[shard.shard_id] = shard
+        self._install()
+
+    def _install(self) -> None:
+        """Rebuild the routing table — each class's shard position, their
+        index, and per shard its monitor with a lock: server lanes on
+        other threads may query one shard at once, and a monitor answers
+        one query at a time (a BDD zone is built lazily on its manager)."""
+        position_of: Dict[int, int] = {}
+        for position, shard in enumerate(self.shards):
             for c in shard.classes:
-                if c in self._owner:
+                if c in position_of:
                     raise ValueError(f"class {c} is owned by two shards")
-                self._owner[c] = shard
+                position_of[c] = position
+        served = tuple(
+            (shard.monitor, named_lock("ShardRouter.shard_lock")) for shard in self.shards
+        )
+        self._table = (position_of, ClassIndex(position_of), served)
 
     @classmethod
     def partition(
@@ -227,13 +261,14 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def shard_for(self, predicted_class: int) -> MonitorShard:
-        """The shard owning a class (``KeyError`` for unmonitored ones)."""
-        return self._owner[predicted_class]
-
     def owns(self, predicted_class: int) -> bool:
         """Whether any shard monitors this class."""
-        return predicted_class in self._owner
+        return predicted_class in self._table[0]
+
+    def locate(self, predicted_classes: np.ndarray) -> np.ndarray:
+        """Position in :attr:`shards` of each row's owning shard (``-1``
+        for rows predicted as unmonitored classes)."""
+        return self._table[1].owners(predicted_classes)
 
     def route(self, predicted_classes: np.ndarray) -> Dict[int, np.ndarray]:
         """Group query rows by owning shard: shard_id → row indices.
@@ -241,40 +276,59 @@ class ShardRouter:
         Rows predicted as unmonitored classes appear under no shard (they
         are trusted unmonitored, mirroring ``NeuronActivationMonitor.check``).
         """
-        predicted_classes = np.asarray(predicted_classes)
-        groups: Dict[int, np.ndarray] = {}
-        for shard in self.shards:
-            mask = np.isin(predicted_classes, shard.classes)
-            if mask.any():
-                groups[shard.shard_id] = np.flatnonzero(mask)
-        return groups
+        groups = _groups(self.locate(predicted_classes))
+        return {self.shards[position].shard_id: rows for position, rows in groups}
+
+    def check_batch(self, patterns, predicted_classes, with_distances=False, distance_cap=None):
+        """Routed :meth:`MonitorShard.check_batch`: one kernel pass per
+        owning shard, answers stitched back in row order, unmonitored
+        rows trusted (``True``, distance 0).  A
+        :class:`~repro.serving.server.StreamServer` lane runs this per
+        coalesced batch, and a fleet worker per block."""
+        return self._routed(
+            patterns, predicted_classes, True, with_distances,
+            lambda monitor, rows, classes: _query(
+                monitor, rows, classes, with_distances, distance_cap
+            ),
+        )
 
     def check(self, patterns: np.ndarray, predicted_classes: np.ndarray) -> np.ndarray:
         """Synchronous routed check: dispatch per shard, stitch results."""
-        patterns = np.atleast_2d(patterns)
-        predicted_classes = np.asarray(predicted_classes)
-        supported = np.ones(len(patterns), dtype=bool)
-        for shard_id, rows in self.route(predicted_classes).items():
-            shard = self._shard_by_id[shard_id]
-            supported[rows] = shard.check(patterns[rows], predicted_classes[rows])
-        return supported
+        return self.check_batch(patterns, predicted_classes)[0]
 
-    def min_distances(
-        self,
-        patterns: np.ndarray,
-        predicted_classes: np.ndarray,
-        cap: Optional[int] = None,
-    ) -> np.ndarray:
+    def min_distances(self, patterns: np.ndarray, predicted_classes: np.ndarray,
+                      cap: Optional[int] = None) -> np.ndarray:
         """Synchronous routed distances (0 for unmonitored classes)."""
+        return self._routed(
+            patterns, predicted_classes, False, True,
+            lambda monitor, rows, classes: (None, monitor.min_distances(rows, classes, cap=cap)),
+        )[1]
+
+    def _routed(self, patterns, predicted_classes, verdicts, distances, answer):
+        """Run ``answer(monitor, rows, classes)`` once per owning shard
+        and stitch its ``(verdicts, distances)`` parts in row order; the
+        parts not asked for come back ``None``."""
         patterns = np.atleast_2d(patterns)
-        predicted_classes = np.asarray(predicted_classes)
-        distances = np.zeros(len(patterns), dtype=np.int64)
-        for shard_id, rows in self.route(predicted_classes).items():
-            shard = self._shard_by_id[shard_id]
-            distances[rows] = shard.min_distances(
-                patterns[rows], predicted_classes[rows], cap=cap
-            )
-        return distances
+        predicted_classes = np.atleast_1d(np.asarray(predicted_classes))
+        _, index, served = self._table  # one epoch for the whole block
+        groups = _groups(index.owners(predicted_classes))
+        n = len(patterns)
+        if len(groups) == 1 and len(groups[0][1]) == n:
+            # Every row on one shard: no gather, no scatter.
+            monitor, lock = served[groups[0][0]]
+            with lock:
+                return answer(monitor, patterns, predicted_classes)
+        out_verdicts = np.ones(n, dtype=bool) if verdicts else None
+        out_distances = np.zeros(n, dtype=np.int64) if distances else None
+        for position, rows in groups:
+            monitor, lock = served[position]
+            with lock:
+                part = answer(monitor, patterns[rows], predicted_classes[rows])
+            if verdicts:
+                out_verdicts[rows] = part[0]
+            if distances:
+                out_distances[rows] = part[1]
+        return out_verdicts, out_distances
 
     def set_gamma(self, gamma: int) -> None:
         """Change γ on every shard (zones recompute lazily)."""
@@ -285,13 +339,13 @@ class ShardRouter:
         """Swap every shard to a :class:`~repro.monitor.drift.ZoneSnapshot`.
 
         The in-process mirror of
-        :meth:`~repro.serving.procpool.ProcessShardPool.apply_snapshot`:
-        all replacement monitors are rehydrated from the payloads *first*
+        :meth:`~repro.serving.fleet.ShardFleet.apply_snapshot`: all
+        replacement monitors are rehydrated from the payloads *first*
         (the expensive part — building backends, seeding visited sets),
-        then each shard's ``monitor`` reference is rebound in one quick
-        loop.  Combined with :meth:`MonitorShard.check_batch` taking a
-        single local reference per batch, no batch ever mixes epochs —
-        a batch sees either the old zones or the new ones, wholly.
+        then each shard's ``monitor`` reference is rebound and the
+        routing table replaced in one assignment.  Every routed query
+        reads that table once, so no block ever mixes epochs — it sees
+        either the old zones or the new ones, wholly.
 
         Raises ``ValueError`` for a non-monotonic epoch or a payload set
         that does not cover this router's shards.
@@ -311,14 +365,9 @@ class ShardRouter:
             shard_id: MonitorShard.from_payload(payload).monitor
             for shard_id, payload in payload_by_shard.items()
         }
-        owner: Dict[int, MonitorShard] = {}
         for shard in self.shards:
             shard.monitor = rebuilt[shard.shard_id]
-            for c in shard.classes:
-                if c in owner:
-                    raise ValueError(f"class {c} is owned by two shards")
-                owner[c] = shard
-        self._owner = owner
+        self._install()
         self.epoch = int(snapshot.epoch)
 
     def __len__(self) -> int:
@@ -327,6 +376,16 @@ class ShardRouter:
     def __repr__(self) -> str:
         sizes = [len(s.classes) for s in self.shards]
         return f"ShardRouter(shards={len(self.shards)}, classes_per_shard={sizes})"
+
+
+def _groups(owners: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """``(owner, row indices)`` per owner present, ascending; rows owned
+    by ``-1`` (nobody) are left out."""
+    return [
+        (int(owner), np.flatnonzero(owners == owner))
+        for owner in np.unique(owners)
+        if owner >= 0
+    ]
 
 
 def shard_detection_monitor(monitor: DetectionMonitor) -> List[MonitorShard]:

@@ -8,6 +8,8 @@ backend plumbing through the monitor stack.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import BDDManager
 from repro.monitor import (
@@ -18,6 +20,7 @@ from repro.monitor import (
     available_backends,
     make_backend,
 )
+from repro.monitor.backends.bitset import pad_to_words
 from repro.monitor.detection import DetectionMonitor
 from repro.monitor.runtime import MonitoredClassifier
 from repro.nn import ArrayDataset, Linear, ReLU, Sequential
@@ -372,3 +375,34 @@ class TestBoundedMinDistances:
             np.testing.assert_array_equal(
                 bounded <= gamma, monitor.check(probes, classes)
             )
+
+
+# Widths around byte and word boundaries: 1..7 and 9..63 bits pad inside
+# a word, 65..71 bits pad a second word, 64 and 128 pad nothing.
+PACK_WIDTHS = st.sampled_from([1, 3, 7, 9, 13, 31, 32, 33, 63, 64, 65, 71, 100, 128])
+
+
+@settings(max_examples=80, deadline=None)
+@given(width=PACK_WIDTHS, rows=st.integers(0, 9), seed=st.integers(0, 2**16))
+def test_pad_to_words_matches_np_pad(width, rows, seed):
+    """The one padding helper writes the packbits bytes into a zeroed
+    word buffer: the same words ``np.pad`` gave, for every width, and
+    the backend packs and stores rows through it."""
+    bits = (np.random.default_rng(seed).random((rows, width)) < 0.5).astype(np.uint8)
+    packed = np.packbits(bits, axis=1)
+    row_words = (packed.shape[1] + 7) // 8
+    expected = np.ascontiguousarray(
+        np.pad(packed, ((0, 0), (0, row_words * 8 - packed.shape[1])))
+    ).view(np.uint64)
+    got = pad_to_words(packed, row_words)
+    assert got.dtype == np.uint64 and got.shape == (rows, row_words)
+    np.testing.assert_array_equal(got, expected)
+
+    backend = BitsetZoneBackend(width)
+    np.testing.assert_array_equal(backend._pack_words(bits), expected)
+    # add_packed pads the same way: the stored rows read back unchanged.
+    backend.add_packed(packed)
+    np.testing.assert_array_equal(
+        np.unique(backend.visited_patterns(), axis=0).reshape(-1, width),
+        np.unique(bits, axis=0).reshape(-1, width),
+    )

@@ -178,7 +178,7 @@ class TestEpochResyncFaults:
                             piece = rows[start : start + block]
                             try:
                                 future = pool.submit(
-                                    shard_id, patterns[piece], classes[piece]
+                                    patterns[piece], classes[piece]
                                 )
                             except RuntimeError:
                                 return  # pool stopping

@@ -19,7 +19,6 @@ from repro.monitor import NeuronActivationMonitor
 from repro.monitor.patterns import pack_patterns
 from repro.serving import ShardRouter
 from repro.serving.fleet import serve_shards
-from repro.serving.shard import MonitorShard
 
 WIDTH = 16
 CLASSES = list(range(6))
@@ -50,8 +49,8 @@ def _oracle_distances(train, labels, queries, classes, cap=None):
     return out if cap is None else np.minimum(out, cap + 1)
 
 
-def _request(req_id, shard, rows, classes, mode="check", cap=None):
-    return ("req", req_id, shard.shard_id, mode, pack_patterns(rows),
+def _request(req_id, rows, classes, mode="check", cap=None):
+    return ("req", req_id, mode, pack_patterns(rows),
             len(rows), rows.shape[1], classes, cap)
 
 
@@ -110,25 +109,25 @@ class TestWorkerLoop:
             exact = _oracle_distances(train, labels, rows, classes)
 
             kind, rid, (verdicts, distances) = loop.ask(
-                _request(10 * req_id, shard, rows, classes, "check")
+                _request(10 * req_id, rows, classes, "check")
             )
             assert (kind, rid, distances) == ("ok", 10 * req_id, None)
             np.testing.assert_array_equal(verdicts, exact <= 1)
 
             kind, _, (verdicts, distances) = loop.ask(
-                _request(10 * req_id + 1, shard, rows, classes, "both", cap=2)
+                _request(10 * req_id + 1, rows, classes, "both", cap=2)
             )
             np.testing.assert_array_equal(verdicts, exact <= 1)
             np.testing.assert_array_equal(distances, np.minimum(exact, 3))
 
             kind, _, (verdicts, distances) = loop.ask(
-                _request(10 * req_id + 2, shard, rows, classes, "dist")
+                _request(10 * req_id + 2, rows, classes, "dist")
             )
             assert verdicts is None
             np.testing.assert_array_equal(distances, exact)
 
             _, _, (_, capped) = loop.ask(
-                _request(10 * req_id + 3, shard, rows, classes, "dist", cap=0)
+                _request(10 * req_id + 3, rows, classes, "dist", cap=0)
             )
             np.testing.assert_array_equal(capped, np.minimum(exact, 1))
 
@@ -139,7 +138,7 @@ class TestWorkerLoop:
         rows, _ = _owned_queries(shard, n=5)
         classes = np.full(5, EMPTY_CLASS, dtype=np.int64)
         _, _, (verdicts, distances) = loop.ask(
-            _request(1, shard, rows, classes, "both")
+            _request(1, rows, classes, "both")
         )
         assert not verdicts.any()
         np.testing.assert_array_equal(distances, np.full(5, WIDTH + 1))
@@ -150,10 +149,10 @@ class TestWorkerLoop:
         rows, classes = _owned_queries(shard)
         exact = _oracle_distances(train, labels, rows, classes)
         loop.ask(("init", payloads, 0, None))  # γ travels in the handshake
-        _, _, (verdicts, _) = loop.ask(_request(1, shard, rows, classes))
+        _, _, (verdicts, _) = loop.ask(_request(1, rows, classes))
         np.testing.assert_array_equal(verdicts, exact <= 0)
         assert loop.ask(("gamma", 3, 77)) == ("gamma_ok", 77)
-        _, _, (verdicts, _) = loop.ask(_request(2, shard, rows, classes))
+        _, _, (verdicts, _) = loop.ask(_request(2, rows, classes))
         np.testing.assert_array_equal(verdicts, exact <= 3)
 
     def test_zone_resync_replaces_the_shard_map(self, setup):
@@ -164,16 +163,15 @@ class TestWorkerLoop:
         shard = new_router.shards[1]
         assert loop.ask(("zone", new_payloads[1:], 2, 5)) == ("zone_ok", 5)
         rows, classes = _owned_queries(shard)
-        _, _, (verdicts, distances) = loop.ask(
-            _request(1, shard, rows, classes, "both")
-        )
+        _, _, (verdicts, distances) = loop.ask(_request(1, rows, classes, "both"))
         exact = _oracle_distances(new_train, new_labels, rows, classes)
         np.testing.assert_array_equal(distances, exact)
         np.testing.assert_array_equal(verdicts, exact <= 2)
-        # The zone frame carried one shard: the other one is gone.
-        kind, _, error = loop.ask(
-            _request(2, new_router.shards[0], rows, classes)
-        )
+        # The zone frame carried one shard: the other one is gone, so a
+        # row of its classes fails the block instead of passing as
+        # unmonitored.
+        gone_rows, gone_classes = _owned_queries(new_router.shards[0])
+        kind, _, error = loop.ask(_request(2, gone_rows, gone_classes))
         assert kind == "err" and isinstance(error, KeyError)
 
     def test_init_replaces_the_shard_map(self, setup):
@@ -181,7 +179,7 @@ class TestWorkerLoop:
         loop.ask(("init", payloads, None, None))
         assert loop.ask(("init", payloads[:1], None, None)) == ("ready", 1)
         rows, classes = _owned_queries(router.shards[1])
-        kind, _, error = loop.ask(_request(1, router.shards[1], rows, classes))
+        kind, _, error = loop.ask(_request(1, rows, classes))
         assert kind == "err" and isinstance(error, KeyError)
 
     def test_ping(self, setup):
@@ -194,15 +192,13 @@ class TestWorkerLoop:
         shard = router.shards[0]
         rows, classes = _owned_queries(shard)
         wrong_width = np.zeros((4, WIDTH + 8), dtype=np.uint8)
-        kind, rid, error = loop.ask(
-            _request(1, shard, wrong_width, classes[:4])
-        )
+        kind, rid, error = loop.ask(_request(1, wrong_width, classes[:4]))
         assert (kind, rid) == ("err", 1) and isinstance(error, ValueError)
         kind, rid, error = loop.ask(
-            _request(2, shard, rows, classes, mode="nonsense")
+            _request(2, rows, classes, mode="nonsense")
         )
         assert (kind, rid) == ("err", 2) and "nonsense" in str(error)
-        kind, rid, (verdicts, _) = loop.ask(_request(3, shard, rows, classes))
+        kind, rid, (verdicts, _) = loop.ask(_request(3, rows, classes))
         assert (kind, rid) == ("ok", 3)
         exact = _oracle_distances(train, labels, rows, classes)
         np.testing.assert_array_equal(verdicts, exact <= 1)
@@ -220,9 +216,9 @@ class TestWorkerLoop:
 
         loop, payloads, router, _train, _labels = setup
         loop.ask(("init", payloads, None, None))
-        monkeypatch.setattr(MonitorShard, "check", explode)
+        monkeypatch.setattr(NeuronActivationMonitor, "check", explode)
         rows, classes = _owned_queries(router.shards[0])
-        kind, rid, error = loop.ask(_request(4, router.shards[0], rows, classes))
+        kind, rid, error = loop.ask(_request(4, rows, classes))
         assert (kind, rid) == ("err", 4)
         assert type(error) is RuntimeError
         assert "Unpicklable" in str(error) and "holds a lock" in str(error)

@@ -262,16 +262,24 @@ class TestEquivalence:
     def test_bad_block_fails_its_own_future_only(self, fleet):
         cluster, _ = fleet
         wrong_width = np.zeros((4, WIDTH + 8), dtype=np.uint8)
-        future = cluster.submit(0, wrong_width, np.zeros(4, dtype=np.int64))
+        future = cluster.submit(wrong_width, np.zeros(4, dtype=np.int64))
         with pytest.raises(Exception):
             future.result(timeout=30)
         patterns, classes = _queries(n=20)
         assert len(cluster.check(patterns, classes)) == 20  # fleet still up
 
-    def test_unknown_shard_is_rejected_on_submit(self, fleet):
+    def test_unmonitored_rows_never_reach_a_worker(self, fleet):
+        """Rows no shard monitors are answered at submit — trusted, at
+        distance 0 — without a block on the wire."""
         cluster, _ = fleet
-        with pytest.raises(KeyError):
-            cluster.submit(99, np.zeros((1, WIDTH), np.uint8), np.zeros(1))
+        patterns, _ = _queries(n=3)
+        unmonitored = np.full(3, len(CLASSES) + 1)
+        batches = sum(row["batches"] for row in cluster.stats())
+        future = cluster.submit(patterns, unmonitored, with_distances=True)
+        assert future.done()
+        verdicts, distances = future.result()
+        assert verdicts.all() and not distances.any()
+        assert sum(row["batches"] for row in cluster.stats()) == batches
 
     def test_stats_rows_cover_the_cli_table(self, fleet):
         cluster, _ = fleet
@@ -599,7 +607,7 @@ class TestLifecycle:
             assert time.monotonic() < deadline, "worker outlived stop()"
             time.sleep(0.05)
         with pytest.raises(RuntimeError, match="not running"):
-            cluster.submit(0, np.zeros((1, WIDTH), np.uint8), np.zeros(1))
+            cluster.submit(np.zeros((1, WIDTH), np.uint8), np.zeros(1, dtype=np.int64))
 
     def test_restart_after_stop(self):
         router = ShardRouter.partition(_build_monitor(), 2)

@@ -230,14 +230,13 @@ def test_partition_pickle_rehydrate_assemble_round_trip(case):
 # ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
-def _routed_blocks(pool, patterns, classes, block_rows=40):
-    """Split a stream into per-shard row blocks the way check_many does."""
-    blocks = []
-    for start in range(0, len(patterns), block_rows):
-        segment = np.arange(start, min(start + block_rows, len(patterns)))
-        for shard_id, rows in pool._route(classes[segment]).items():
-            blocks.append((shard_id, segment[rows]))
-    return blocks
+def _caller_blocks(patterns, block_rows=40):
+    """Split a stream into caller blocks the way check_many does: each
+    block's rows may span every shard."""
+    return [
+        np.arange(start, min(start + block_rows, len(patterns)))
+        for start in range(0, len(patterns), block_rows)
+    ]
 
 
 class TestFaultInjection:
@@ -247,14 +246,13 @@ class TestFaultInjection:
         patterns, classes = _queries(n=2000, extra_classes=0)
         expected = monitor.check(patterns, classes)
         with ProcessShardPool(router.shards, num_workers=2) as pool:
-            blocks = _routed_blocks(pool, patterns, classes)
+            blocks = _caller_blocks(patterns)
             futures = [
-                pool.submit(shard_id, patterns[rows], classes[rows])
-                for shard_id, rows in blocks
+                pool.submit(patterns[rows], classes[rows]) for rows in blocks
             ]
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
             got = np.ones(len(patterns), dtype=bool)
-            for (shard_id, rows), future in zip(blocks, futures):
+            for rows, future in zip(blocks, futures):
                 verdicts, _ = future.result(timeout=60)
                 assert len(verdicts) == len(rows)
                 got[rows] = verdicts
@@ -271,7 +269,7 @@ class TestFaultInjection:
             # once (requeued blocks counted on the replacement, never on
             # both workers), so the per-worker request counters add up to
             # exactly the routed row count — no losses, no duplicates.
-            rows_routed = sum(len(rows) for _shard, rows in blocks)
+            rows_routed = sum(len(rows) for rows in blocks)
             stats = pool.stats()
             assert sum(row["requests"] for row in stats) == rows_routed
             assert sum(row["batches"] for row in stats) == len(blocks)
@@ -307,11 +305,10 @@ class TestFaultInjection:
                 deadline = time.monotonic() + 30
                 while pool.total_crashes < crashes and time.monotonic() < deadline:
                     time.sleep(0.02)
-            shard_id = router.shards[0].shard_id
             owned_class = router.shards[0].classes[0]
             patterns, _ = _queries(n=4)
             with pytest.raises(WorkerCrashError):
-                pool.submit(shard_id, patterns, np.full(4, owned_class))
+                pool.submit(patterns, np.full(4, owned_class))
         finally:
             pool.stop()
 
@@ -350,26 +347,23 @@ class TestFaultInjection:
         patterns, classes = _queries(n=600, extra_classes=0)
         pool = ProcessShardPool(router.shards, num_workers=2)
         pool.start()
-        blocks = _routed_blocks(pool, patterns, classes)
-        futures = [
-            pool.submit(shard_id, patterns[rows], classes[rows])
-            for shard_id, rows in blocks
-        ]
+        blocks = _caller_blocks(patterns)
+        futures = [pool.submit(patterns[rows], classes[rows]) for rows in blocks]
         pool.stop()  # FIFO drain: stop sentinel queues behind every block
         assert all(future.done() for future in futures)
         expected = monitor.check(patterns, classes)
-        for (shard_id, rows), future in zip(blocks, futures):
+        for rows, future in zip(blocks, futures):
             verdicts, _ = future.result(timeout=0)
             np.testing.assert_array_equal(verdicts, expected[rows])
         with pytest.raises(RuntimeError):
-            pool.submit(blocks[0][0], patterns[:1], classes[:1])
+            pool.submit(patterns[:1], classes[:1])
 
     def test_bad_block_fails_its_future_not_the_worker(self):
         monitor = _build_monitor()
         router = ShardRouter.partition(monitor, 2)
         with ProcessShardPool(router.shards, num_workers=2) as pool:
             bad = np.zeros((3, 8), dtype=np.uint8)  # wrong pattern width
-            future = pool.submit(0, bad, np.zeros(3, dtype=np.int64))
+            future = pool.submit(bad, np.zeros(3, dtype=np.int64))
             with pytest.raises(ValueError):
                 future.result(timeout=30)
             patterns, classes = _queries(n=40, extra_classes=0)
@@ -462,14 +456,16 @@ class TestPoolValidation:
         pool = ProcessShardPool(router.shards, num_workers=64)
         assert len(pool) == 2
 
-    def test_submit_before_start_and_unknown_shard(self):
+    def test_submit_before_start_and_unmonitored_rows(self):
+        """A stopped pool refuses every block, even one whose rows no
+        shard monitors (they would be answered without a worker)."""
         router = ShardRouter.partition(_build_monitor(), 2)
         pool = ProcessShardPool(router.shards, num_workers=2)
         patterns, classes = _queries(n=2, extra_classes=0)
         with pytest.raises(RuntimeError, match="not running"):
-            pool.submit(0, patterns, classes)
-        with pytest.raises(KeyError):
-            pool._enqueue(99, "check", patterns, classes, None)
+            pool.submit(patterns, classes)
+        with pytest.raises(RuntimeError, match="not running"):
+            pool.submit(patterns, np.full(2, 99))
         with pytest.raises(ValueError, match="gamma"):
             ProcessShardPool(router.shards).set_gamma(-1)
 
@@ -496,7 +492,7 @@ class TestPoolValidation:
                 assert time.monotonic() < deadline, "worker outlived stop()"
                 time.sleep(0.01)
         with pytest.raises(RuntimeError, match="not running"):
-            pool.submit(0, patterns[:1], classes[:1])
+            pool.submit(patterns[:1], classes[:1])
 
 
 # ----------------------------------------------------------------------

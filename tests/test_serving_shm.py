@@ -174,7 +174,7 @@ class TestShmEquivalence:
                 for start in range(0, len(rows), 8):
                     piece = rows[start : start + 8]
                     futures.append(
-                        (piece, pool.submit(shard_id, patterns[piece], classes[piece]))
+                        (piece, pool.submit(patterns[piece], classes[piece]))
                     )
             expected = monitor.check(patterns, classes)
             for piece, future in futures:
@@ -207,7 +207,7 @@ class TestShmEquivalence:
 
                 def submitter(offset):
                     for shard_id, piece in routed[offset::8]:
-                        future = pool.submit(shard_id, patterns[piece], classes[piece])
+                        future = pool.submit(patterns[piece], classes[piece])
                         results.append((piece, future))
 
                 threads = [
@@ -242,10 +242,9 @@ class TestShmEquivalence:
         with ProcessShardPool(router.shards, num_workers=1, transport="shm") as pool:
             worker = pool._workers[0]
             worker.conn = _AnsweredBeforeReturn(worker.conn, worker)
-            shard_id = router.shards[0].shard_id
             for i in range(blocks):
                 piece = slice(4 * i, 4 * i + 4)
-                future = pool.submit(shard_id, patterns[piece], classes[piece])
+                future = pool.submit(patterns[piece], classes[piece])
                 verdicts, _ = future.result(timeout=60)
                 np.testing.assert_array_equal(
                     verdicts, monitor.check(patterns[piece], classes[piece])
@@ -293,7 +292,7 @@ class TestShmFaults:
                             piece = rows[start : start + block]
                             try:
                                 future = pool.submit(
-                                    shard_id, patterns[piece], classes[piece]
+                                    patterns[piece], classes[piece]
                                 )
                             except RuntimeError:
                                 return  # pool stopping
